@@ -22,10 +22,9 @@
 #                                    # serial-vs-parallel speedup) to
 #                                    # BENCH_sweep.json (DESIGN.md §12)
 #
-# Kernel parallelism: every binary runs on the zkg::parallel_for backend
-# chosen at configure time (OpenMP or the in-tree thread pool; the cmake
-# configure step prints "zkg: parallel backend = ..."). ZKG_THREADS=<n>
-# overrides the worker count, e.g. `ZKG_THREADS=8 ./run_benches.sh`.
+# Kernel parallelism: every binary runs zkg::parallel_for on the in-tree
+# thread pool. ZKG_THREADS=<n> overrides the worker count, e.g.
+# `ZKG_THREADS=8 ./run_benches.sh`.
 # ZKG_JOBS=<n> additionally parallelizes the Table III/IV and Figure 5
 # drivers at the experiment level (n concurrent training jobs).
 #
@@ -36,9 +35,8 @@
 # BENCH_kernels.json (ZKG_BENCH_JSON overrides the path; in --trace mode
 # it lands in <dir>/bench_kernels.train.jsonl).
 #
-# To run the threadpool stress tests under ThreadSanitizer (the OpenMP
-# runtime produces TSan false positives, so use the pool backend):
-#   cmake -B build-tsan -S . -DZKG_SANITIZE=thread -DZKG_USE_OPENMP=OFF
+# To run the threadpool stress tests under ThreadSanitizer:
+#   cmake -B build-tsan -S . -DZKG_SANITIZE=thread
 #   cmake --build build-tsan -j
 #   ctest --test-dir build-tsan -R test_threadpool --output-on-failure
 TRACE_DIR=""

@@ -20,7 +20,7 @@
 //   kThreadPool    ThreadPool task queue. submit()/wait_idle() must be
 //                  called with no higher-ranked lock held (PrefetchBatcher
 //                  releases its slot before submitting a fill).
-//   kParallelJob   per-parallel_for completion mutex (both backends).
+//   kParallelJob   per-parallel_for completion mutex (ThreadPool).
 //   kTelemetry     obs::Telemetry registry. Gauge providers run OUTSIDE the
 //                  registry lock but may read pool stats (kBufferPool).
 //   kBufferPool    BufferPool free list — a leaf on the kernel hot path.

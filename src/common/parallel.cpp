@@ -1,19 +1,9 @@
 #include "common/parallel.hpp"
 
-#include <algorithm>
 #include <atomic>
-#include <exception>
-#include <mutex>
 
-#include "common/lockrank.hpp"
-
-#include "common/env.hpp"
 #include "common/threadpool.hpp"
 #include "obs/telemetry.hpp"
-
-#ifdef ZKG_PARALLEL_OPENMP
-#include <omp.h>
-#endif
 
 namespace zkg {
 namespace {
@@ -32,28 +22,9 @@ bool SerialScope::active() {
   return g_serial_depth.load(std::memory_order_relaxed) > 0;
 }
 
-ParallelBackend parallel_backend() {
-#ifdef ZKG_PARALLEL_OPENMP
-  return ParallelBackend::kOpenMP;
-#else
-  return ParallelBackend::kThreadPool;
-#endif
-}
+const char* parallel_backend_name() { return "threadpool"; }
 
-const char* parallel_backend_name() {
-  return parallel_backend() == ParallelBackend::kOpenMP ? "openmp"
-                                                        : "threadpool";
-}
-
-unsigned parallel_threads() {
-#ifdef ZKG_PARALLEL_OPENMP
-  const std::int64_t env = env_or_int("ZKG_THREADS", 0);
-  if (env > 0) return static_cast<unsigned>(std::min<std::int64_t>(env, 1024));
-  return static_cast<unsigned>(std::max(1, omp_get_max_threads()));
-#else
-  return ThreadPool::shared().size();
-#endif
-}
+unsigned parallel_threads() { return ThreadPool::shared().size(); }
 
 void parallel_for(std::int64_t count,
                   const std::function<void(std::int64_t, std::int64_t)>& body) {
@@ -80,40 +51,7 @@ void parallel_for(std::int64_t count, std::int64_t grain,
     body(0, count);
     return;
   }
-#ifdef ZKG_PARALLEL_OPENMP
-  grain = std::max<std::int64_t>(1, grain);
-  const std::int64_t target_chunks = std::min<std::int64_t>(
-      count, static_cast<std::int64_t>(parallel_threads()));
-  const std::int64_t chunk =
-      std::max(grain, (count + target_chunks - 1) / target_chunks);
-  const std::int64_t num_chunks = (count + chunk - 1) / chunk;
-  if (num_chunks <= 1 || omp_in_parallel()) {
-    // Nested regions serialise: OpenMP nesting is off by default and a
-    // serial inner call is always correct.
-    body(0, count);
-    return;
-  }
-  std::exception_ptr first_error;
-  std::atomic<bool> failed{false};
-  debug::Mutex<debug::LockRank::kParallelJob> mu;
-#pragma omp parallel for schedule(static) \
-    num_threads(static_cast<int>(num_chunks))
-  for (std::int64_t c = 0; c < num_chunks; ++c) {
-    if (failed.load(std::memory_order_acquire)) continue;
-    const std::int64_t begin = c * chunk;
-    const std::int64_t end = std::min(begin + chunk, count);
-    try {
-      body(begin, end);
-    } catch (...) {
-      failed.store(true, std::memory_order_release);
-      const std::lock_guard lock(mu);
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-#else
   ThreadPool::shared().parallel_for(count, grain, body);
-#endif
 }
 
 }  // namespace zkg

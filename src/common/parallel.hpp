@@ -1,16 +1,14 @@
 // zkg::parallel_for — the single parallel execution entry point for every
 // hot kernel (GEMM variants, im2col/col2im, layout reorders, BatchNorm).
 //
-// The backend is selected at compile time: OpenMP when the build found it
-// and ZKG_USE_OPENMP is ON (CMake defines ZKG_PARALLEL_OPENMP), otherwise
-// the in-tree zkg::ThreadPool. Kernels are therefore parallel regardless
-// of whether OpenMP happened to be available at configure time.
-//
-// Both backends honour the ZKG_THREADS environment variable and share the
-// same semantics: the range [0, count) is split into contiguous chunks,
-// `body(begin, end)` runs once per chunk, the call blocks until the whole
+// The engine is the in-tree zkg::ThreadPool (ThreadPool::shared(), sized
+// by the ZKG_THREADS environment variable): the range [0, count) is split
+// into contiguous chunks, `body(begin, end)` runs once per chunk on the
+// pool workers plus the calling thread, the call blocks until the whole
 // range is retired, and the first exception thrown by a chunk is rethrown
-// in the calling thread. Nested and concurrent calls are safe.
+// in the calling thread. Nested and concurrent calls are safe and run in
+// parallel: a nested call's caller takes chunks itself, so it completes
+// even when every worker is busy.
 #pragma once
 
 #include <cstdint>
@@ -18,15 +16,10 @@
 
 namespace zkg {
 
-enum class ParallelBackend { kThreadPool, kOpenMP };
-
-/// Backend compiled into this build.
-ParallelBackend parallel_backend();
-
-/// "threadpool" or "openmp"; used by benches and status logging.
+/// Always "threadpool"; recorded by benches and trace metadata.
 const char* parallel_backend_name();
 
-/// Worker count the backend will use (honours ZKG_THREADS).
+/// Worker count of the shared pool (honours ZKG_THREADS).
 unsigned parallel_threads();
 
 /// Runs `body(begin, end)` over contiguous chunks of [0, count).

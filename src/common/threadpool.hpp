@@ -1,7 +1,7 @@
 // Small fixed-size thread pool with a parallel_for helper.
 //
 // This is the execution engine behind zkg::parallel_for (see
-// common/parallel.hpp) whenever the build did not select OpenMP.
+// common/parallel.hpp).
 //
 // Concurrency contract:
 //  * parallel_for tracks completion with a per-call job, so concurrent
@@ -13,8 +13,12 @@
 //    in the calling thread once the whole range has been retired.
 //  * Exceptions thrown by submit()ed tasks are captured and rethrown from
 //    the next wait_idle().
+//  * Idle workers, and a caller waiting for its chunks, poll for up to
+//    1 ms (yielding between polls) before they block, so back-to-back
+//    kernel calls do not pay a thread wake-up each.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -79,6 +83,9 @@ class ThreadPool {
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> tasks_;
+  // tasks_.size(), written under mutex_; idle workers poll it without the
+  // lock before they block.
+  std::atomic<std::size_t> queued_{0};
   debug::Mutex<debug::LockRank::kThreadPool> mutex_;
   debug::CondVar task_ready_;
   debug::CondVar all_done_;

@@ -1,6 +1,5 @@
 #include "models/classifier.hpp"
 
-#include "tensor/ops.hpp"
 #include "tensor/serialize.hpp"
 
 namespace zkg::models {
@@ -39,18 +38,6 @@ Tensor Classifier::backward(const Tensor& grad_logits) {
 void Classifier::backward_into(const Tensor& grad_logits,
                                Tensor& grad_images) {
   net_.backward_into(grad_logits, grad_images);
-}
-
-std::vector<std::int64_t> Classifier::predict(const Tensor& images) {
-  std::vector<std::int64_t> out;
-  predict_into(images, out);
-  return out;
-}
-
-void Classifier::predict_into(const Tensor& images,
-                              std::vector<std::int64_t>& out) {
-  forward_into(images, predict_logits_, /*training=*/false);
-  argmax_rows_into(out, predict_logits_);
 }
 
 void Classifier::save(const std::string& path) {

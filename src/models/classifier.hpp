@@ -43,14 +43,6 @@ class Classifier {
   Tensor backward(const Tensor& grad_logits);
   void backward_into(const Tensor& grad_logits, Tensor& grad_images);
 
-  /// Predicted class per image (argmax of logits, inference mode).
-  /// Allocates the returned vector per call — hot paths (the Evaluator,
-  /// serving) should use predict_into or an InferenceSession instead.
-  std::vector<std::int64_t> predict(const Tensor& images);
-  /// As predict, writing labels into `out` through pooled member logits
-  /// scratch: zero pool traffic once the batch shape has been seen.
-  void predict_into(const Tensor& images, std::vector<std::int64_t>& out);
-
   std::vector<nn::Parameter*> parameters() { return net_.parameters(); }
   void zero_grad() { net_.zero_grad(); }
 
@@ -69,7 +61,6 @@ class Classifier {
   std::string name_;
   InputSpec spec_;
   nn::Sequential net_;
-  Tensor predict_logits_;  // predict_into scratch (pooled, reused)
 };
 
 }  // namespace zkg::models

@@ -1,14 +1,14 @@
 // InferenceSession: the unified batched inference surface (DESIGN.md §14).
 //
 // Everything that classifies at inference time — the Evaluator's accuracy
-// and attack-success paths, the serving micro-batcher, examples — goes
-// through this one wrapper instead of calling the allocating
-// Classifier::predict. A session owns the pooled scratch the forward pass
-// and argmax need (logits tensor, label vector, discriminator probability
-// head), so repeated same-shape calls are steady-state allocation-free,
-// and it exposes the logits of the last prediction so downstream heads
-// (the ZK-GanDef perturbation alarm, calibration, margins) never rerun
-// the network.
+// and attack-success paths, the serving micro-batcher, examples, tests —
+// goes through this one wrapper; Classifier has no predict method of its
+// own. A session owns the pooled scratch the forward pass and argmax need
+// (logits tensor, label vector, discriminator probability head), so
+// repeated same-shape calls are steady-state allocation-free, and it
+// exposes the logits of the last prediction so downstream heads (the
+// ZK-GanDef perturbation alarm, calibration, margins) never rerun the
+// network.
 //
 // Const-correctness: predicting mutates only session scratch, never the
 // model's parameters. The session takes the classifier by reference and

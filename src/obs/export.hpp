@@ -1,7 +1,7 @@
 // Telemetry exporters: JSON Lines for machines, common/table for humans.
 //
 // JSONL schema (one object per line, see DESIGN.md §9):
-//   {"type":"meta","version":1,"clock":"steady","backend":"openmp",
+//   {"type":"meta","version":1,"clock":"steady","backend":"threadpool",
 //    "threads":8}
 //   {"type":"span","name":"train.epoch","seq":4,"parent":1,"thread":0,
 //    "depth":1,"start_s":0.012,"dur_s":1.43}

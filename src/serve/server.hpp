@@ -305,7 +305,7 @@ class InferenceServer {
   enum class FlushKind { kSize, kDeadline, kDrain };
 
   /// Engine body, submitted once to engine_ (a dedicated 1-worker pool —
-  /// the repo's single parallelism entry point, tools/lint.py
+  /// the repo's single parallelism entry point, tools/analyze.py
   /// parallel-primitives). Loops until stop() and the queue is drained.
   void engine_loop();
   /// Watchdog body (only when config.watchdog_s > 0): monitors the

@@ -2,9 +2,10 @@
 //
 // GEMM: a packed, register-blocked microkernel in the BLIS style. The
 // driver walks cache blocks (NC columns x KC depth x MC rows), packs the
-// current B panel into NR-wide column slabs and each A block into MR-tall
-// row slabs (both in pooled, 64-byte-aligned scratch from BufferPool, so
-// steady-state GEMM stays allocation-free), then runs a 6x16 register tile:
+// current B panel into NR-wide column slabs (pooled, 64-byte-aligned
+// scratch from BufferPool) and each A block into MR-tall row slabs (one
+// per-thread scratch block, sized once), so steady-state GEMM stays
+// allocation-free, then runs a 6x16 register tile:
 // 12 YMM accumulators fed by two aligned B loads and six A broadcasts per
 // k step. Row blocks are distributed over zkg::parallel_for; every C
 // element accumulates its k terms in one fixed order (kc blocks ascending,
@@ -22,7 +23,7 @@
 // scalar; matvec, softmax and GEMM agree within tolerance.
 //
 // This file is the only one allowed to touch <immintrin.h> outside
-// tools/lint.py's simd-outside-backend allowlist. It compiles with
+// tools/analyze.py's simd-outside-backend allowlist. It compiles with
 // -mavx2 -mfma in every build type; dispatch.cpp only selects the table
 // when the running CPU reports AVX2+FMA.
 #include "tensor/backend/backend.hpp"
@@ -139,6 +140,17 @@ void micro_edge(std::int64_t kcnt, const float* aslab, const float* bslab,
   }
 }
 
+/// The calling thread's packed-A scratch: one MC x KC block (96 KiB),
+/// allocated on the thread's first GEMM and reused for its lifetime. It is
+/// per-thread rather than pooled so the BufferPool's steady state does not
+/// depend on how many row-block chunks happen to run at once. A chunk body
+/// makes no parallel_for call, so no other chunk can reuse the block on
+/// this thread while it is live.
+float* a_panel_scratch() {
+  thread_local FloatBuffer panel(static_cast<std::size_t>(kMC * kKC));
+  return panel.data();
+}
+
 /// Shared packed-GEMM driver: C[m,n] = A * B with A(i,kk) = a[i*ri+kk*rk]
 /// and B(kk,j) = b[kk*rk2+j*cj]. C is dense row-major and fully
 /// overwritten.
@@ -162,18 +174,17 @@ void gemm_strided(float* c, std::int64_t m, std::int64_t k, std::int64_t n,
       // One row block costs 2*MC*kcnt*nc flops — far above any sane grain,
       // so parallelise at block granularity.
       parallel_for(row_blocks, 1, [&](std::int64_t blk0, std::int64_t blk1) {
-        FloatBuffer apanel =
-            pool.acquire(static_cast<std::size_t>(kMC * kKC));
+        float* apanel = a_panel_scratch();
         for (std::int64_t blk = blk0; blk < blk1; ++blk) {
           const std::int64_t i0 = blk * kMC;
           const std::int64_t mc = std::min(kMC, m - i0);
-          pack_a(apanel.data(), a, a_ri, a_rk, i0, mc, kc, kcnt);
+          pack_a(apanel, a, a_ri, a_rk, i0, mc, kc, kcnt);
           for (std::int64_t jr = 0; jr < nc; jr += kNR) {
             const std::int64_t nr = std::min(kNR, nc - jr);
             const float* bslab = bpanel.data() + jr * kcnt;
             for (std::int64_t ir = 0; ir < mc; ir += kMR) {
               const std::int64_t mr = std::min(kMR, mc - ir);
-              const float* aslab = apanel.data() + ir * kcnt;
+              const float* aslab = apanel + ir * kcnt;
               float* ctile = c + (i0 + ir) * n + (jc + jr);
               if (mr == kMR && nr == kNR) {
                 micro_6x16(kcnt, aslab, bslab, ctile, n, accumulate);
@@ -183,7 +194,6 @@ void gemm_strided(float* c, std::int64_t m, std::int64_t k, std::int64_t n,
             }
           }
         }
-        pool.release(std::move(apanel));
       });
     }
   }

@@ -21,7 +21,7 @@
 // legitimately change low-order bits (see DESIGN.md §13).
 //
 // Raw SIMD intrinsics are confined to src/tensor/backend/ — enforced by
-// tools/lint.py (simd-outside-backend).
+// tools/analyze.py (simd-outside-backend).
 #pragma once
 
 #include <cstdint>

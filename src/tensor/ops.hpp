@@ -7,7 +7,7 @@
 // a caller-provided destination (resized via ensure_shape; must not alias
 // an input). Reusing the destination across steps keeps the hot path
 // allocation-free; results are bit-identical between the two forms. This
-// pairing is a repo invariant enforced by tools/lint.py (into-counterpart).
+// pairing is a repo invariant enforced by tools/analyze.py (into-counterpart).
 #pragma once
 
 #include <cstdint>

@@ -15,6 +15,7 @@
 #include "defense/vanilla.hpp"
 #include "eval/metrics.hpp"
 #include "models/lenet.hpp"
+#include "models/session.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/random.hpp"
 #include "tests/test_util.hpp"
@@ -52,7 +53,8 @@ class TrainedModelFixture : public ::testing::Test {
 
   static double accuracy_on(const Tensor& images,
                             const std::vector<std::int64_t>& labels) {
-    return eval::accuracy(model_->predict(images), labels);
+    models::InferenceSession session(*model_);
+    return eval::accuracy(session.predict(images), labels);
   }
 
   static models::Classifier* model_;

@@ -19,6 +19,7 @@
 #include "defense/zk_gandef.hpp"
 #include "eval/metrics.hpp"
 #include "models/lenet.hpp"
+#include "models/session.hpp"
 #include "obs/json.hpp"
 #include "tensor/ops.hpp"
 
@@ -296,8 +297,9 @@ TEST_P(TrainerLearns, LossDecreasesAndCleanAccuracyRises) {
   // exclusively on sigma=1 noise-destroyed inputs and are known-slow to
   // converge (paper SV-D) — they only need to beat the 10% chance level
   // here; everything else must be clearly learning.
+  models::InferenceSession session(model);
   const double acc =
-      eval::accuracy(model.predict(train.images.slice_rows(0, 200)),
+      eval::accuracy(session.predict(train.images.slice_rows(0, 200)),
                      {train.labels.begin(), train.labels.begin() + 200});
   const bool noisy_only =
       GetParam() == DefenseId::kClp || GetParam() == DefenseId::kCls;
@@ -406,11 +408,13 @@ TEST(FgsmAdv, BecomesRobustToItsTrainingAttack) {
   const Tensor probe = train.images.slice_rows(0, 100);
   const std::vector<std::int64_t> labels(train.labels.begin(),
                                          train.labels.begin() + 100);
+  models::InferenceSession vanilla_session(vanilla_model);
+  models::InferenceSession robust_session(robust_model);
   const double vanilla_acc = eval::accuracy(
-      vanilla_model.predict(fgsm.generate(vanilla_model, probe, labels)),
+      vanilla_session.predict(fgsm.generate(vanilla_model, probe, labels)),
       labels);
   const double robust_acc = eval::accuracy(
-      robust_model.predict(fgsm.generate(robust_model, probe, labels)),
+      robust_session.predict(fgsm.generate(robust_model, probe, labels)),
       labels);
   EXPECT_GT(robust_acc, vanilla_acc + 0.2);
 }

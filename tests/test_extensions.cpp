@@ -15,6 +15,7 @@
 #include "eval/metrics.hpp"
 #include "models/lenet.hpp"
 #include "models/mlp.hpp"
+#include "models/session.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
 #include "tensor/ops.hpp"
@@ -158,8 +159,9 @@ TEST(Mlp, LearnsDigits) {
   config.epochs = 6;
   config.batch_size = 64;
   defense::VanillaTrainer(mlp, config).fit(train);
+  models::InferenceSession session(mlp);
   const double acc = eval::accuracy(
-      mlp.predict(train.images.slice_rows(0, 200)),
+      session.predict(train.images.slice_rows(0, 200)),
       {train.labels.begin(), train.labels.begin() + 200});
   EXPECT_GT(acc, 0.7);
 }
@@ -253,10 +255,11 @@ TEST(Spsa, DegradesATrainedModel) {
                      attack_rng, 0.05f, 16);
   const Tensor adv =
       spsa.generate(model, split.test.images, split.test.labels);
+  models::InferenceSession session(model);
   const double clean =
-      eval::accuracy(model.predict(split.test.images), split.test.labels);
+      eval::accuracy(session.predict(split.test.images), split.test.labels);
   const double attacked =
-      eval::accuracy(model.predict(adv), split.test.labels);
+      eval::accuracy(session.predict(adv), split.test.labels);
   EXPECT_LT(attacked, clean - 0.25)
       << "clean " << clean << " vs SPSA " << attacked;
 }

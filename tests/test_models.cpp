@@ -8,6 +8,7 @@
 #include "models/allcnn.hpp"
 #include "models/discriminator.hpp"
 #include "models/lenet.hpp"
+#include "models/session.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/random.hpp"
 
@@ -69,7 +70,8 @@ TEST(Classifier, PredictReturnsArgmax) {
   Rng data_rng(10);
   const Tensor x = randn({4, 1, 28, 28}, data_rng);
   const Tensor logits = model.forward(x, false);
-  EXPECT_EQ(model.predict(x), argmax_rows(logits));
+  InferenceSession session(model);
+  EXPECT_EQ(session.predict(x), argmax_rows(logits));
 }
 
 TEST(Classifier, CheckpointRoundTrip) {

@@ -1,7 +1,7 @@
 // Stress tests for the ThreadPool and the unified zkg::parallel_for layer:
 // concurrent callers, nested calls (the pre-fix deadlock shape), exception
 // propagation, edge-case ranges, the ZKG_THREADS override, and bit-exact
-// agreement between parallel and serial kernel results.
+// agreement between parallel (including nested) and serial kernel results.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -193,9 +193,8 @@ TEST(ParallelFor, FreeFunctionNestedAndThrowing) {
 }
 
 TEST(ParallelFor, BackendIsReported) {
-  const char* name = parallel_backend_name();
-  EXPECT_TRUE(std::strcmp(name, "threadpool") == 0 ||
-              std::strcmp(name, "openmp") == 0);
+  EXPECT_STREQ(parallel_backend_name(), "threadpool");
+  EXPECT_EQ(parallel_threads(), ThreadPool::shared().size());
   EXPECT_GE(parallel_threads(), 1u);
 }
 
@@ -250,6 +249,35 @@ TEST(ParallelKernels, MatmulVariantsBitIdenticalToSerial) {
   }
   EXPECT_EQ(nt_par.storage(), nt_ser.storage());
   EXPECT_EQ(tn_par.storage(), tn_ser.storage());
+}
+
+// Kernel calls nested inside an outer parallel_for run in parallel too:
+// every outer chunk's matmul fans its row blocks out over the same pool,
+// so workers interleave GEMMs on different operands through their
+// per-thread packing scratch. Each product must still match the serial
+// result bit for bit.
+TEST(ParallelKernels, NestedMatmulBitIdenticalToSerial) {
+  Rng rng(17);
+  constexpr std::size_t kOuter = 8;
+  // 200 rows span several 96-row blocks; depth 300 spans two KC blocks.
+  std::vector<Tensor> lhs;
+  for (std::size_t i = 0; i < kOuter; ++i) {
+    lhs.push_back(randn({200, 300}, rng));
+  }
+  const Tensor rhs = randn({300, 40}, rng);
+  std::vector<Tensor> parallel(kOuter);
+  parallel_for(static_cast<std::int64_t>(kOuter),
+               [&](std::int64_t begin, std::int64_t end) {
+                 for (std::int64_t i = begin; i < end; ++i) {
+                   const auto idx = static_cast<std::size_t>(i);
+                   parallel[idx] = matmul(lhs[idx], rhs);
+                 }
+               });
+  const SerialScope scope;
+  for (std::size_t i = 0; i < kOuter; ++i) {
+    EXPECT_EQ(parallel[i].storage(), matmul(lhs[i], rhs).storage())
+        << "outer item " << i;
+  }
 }
 
 TEST(ParallelKernels, Im2ColBitIdenticalToSerial) {

@@ -11,6 +11,6 @@ One shared C++ tokenizer (cpptok) feeds three passes:
   lockrank  static side of the LockRank runtime layer: the rank enum stays
             unique/ordered and every ranked mutex names a known rank
 
-Entry points: tools/analyze.py (full engine, JSON/SARIF reports, selftest)
-and tools/lint.py (console compatibility shim used by `cmake -t lint`).
+Entry point: tools/analyze.py (console findings, JSON/SARIF reports,
+selftest), also run by the `analyze` CMake target.
 """
