@@ -5,6 +5,7 @@
 
 #include "data/preprocess.hpp"
 #include "nn/loss.hpp"
+#include "nn/parameter.hpp"
 #include "obs/telemetry.hpp"
 #include "tensor/ops.hpp"
 
@@ -24,12 +25,11 @@ float input_gradient_into(models::Classifier& model, const Tensor& images,
                           const std::vector<std::int64_t>& labels,
                           GradientScratch& scratch, Tensor& grad) {
   ZKG_COUNT("attack.grad_queries", 1);
-  model.zero_grad();
   model.forward_into(images, scratch.logits, /*training=*/false);
   const float loss =
       nn::softmax_cross_entropy_into(scratch.logits, labels, scratch.loss_grad);
+  const nn::InputGradOnly input_grad_only;
   model.backward_into(scratch.loss_grad, grad);
-  model.zero_grad();
   return loss;
 }
 

@@ -32,7 +32,7 @@ class Attack {
 
   /// Returns adversarial versions of `images` ([B, C, H, W], range [-1, 1])
   /// targeting misclassification away from `labels`. Leaves the model's
-  /// parameter gradients zeroed.
+  /// parameter gradients untouched (backwards run under nn::InputGradOnly).
   virtual Tensor generate(models::Classifier& model, const Tensor& images,
                           const std::vector<std::int64_t>& labels) = 0;
 
@@ -54,9 +54,10 @@ class Attack {
 using AttackPtr = std::unique_ptr<Attack>;
 
 /// Gradient of the mean cross-entropy loss w.r.t. the input pixels.
-/// Runs the model in inference mode, then re-zeroes parameter gradients so
-/// attack passes never leak into training updates. Optionally reports the
-/// loss value.
+/// Runs the model in inference mode and back-propagates under
+/// nn::InputGradOnly, so parameter gradients are neither computed nor
+/// touched and attack passes never leak into training updates. Optionally
+/// reports the loss value.
 Tensor input_gradient(models::Classifier& model, const Tensor& images,
                       const std::vector<std::int64_t>& labels,
                       float* loss_out = nullptr);

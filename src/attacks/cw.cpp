@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "nn/parameter.hpp"
 #include "tensor/ops.hpp"
 
 namespace zkg::attacks {
@@ -26,8 +27,10 @@ Tensor CarliniWagner::generate(models::Classifier& model, const Tensor& images,
   const float beta2 = 0.999f;
   const float eps_hat = 1e-8f;
 
+  // The attack needs only input gradients; parameter gradients stay as the
+  // caller left them.
+  const nn::InputGradOnly input_grad_only;
   for (std::int64_t it = 1; it <= budget_.iterations; ++it) {
-    model.zero_grad();
     const Tensor logits = model.forward(adv, /*training=*/false);
 
     // Seed gradient of the margin loss: +1 on the true class, -1 on the
@@ -50,7 +53,6 @@ Tensor CarliniWagner::generate(models::Classifier& model, const Tensor& images,
       }
     }
     Tensor grad = model.backward(seed);
-    model.zero_grad();
 
     // Adam step descending the margin (we minimise z_t - z_runner_up).
     const float bias1 = 1.0f - std::pow(beta1, static_cast<float>(it));

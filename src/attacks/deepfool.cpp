@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 
+#include "nn/parameter.hpp"
 #include "tensor/ops.hpp"
 
 namespace zkg::attacks {
@@ -23,8 +24,10 @@ Tensor DeepFool::generate(models::Classifier& model, const Tensor& images,
   Tensor adv = images;
   std::vector<bool> active(static_cast<std::size_t>(batch), true);
 
+  // The attack needs only input gradients; parameter gradients stay as the
+  // caller left them.
+  const nn::InputGradOnly input_grad_only;
   for (std::int64_t it = 0; it < budget_.iterations; ++it) {
-    model.zero_grad();
     const Tensor logits = model.forward(adv, /*training=*/false);
 
     // Per-class input gradients for the whole batch: one backward pass per
@@ -36,7 +39,6 @@ Tensor DeepFool::generate(models::Classifier& model, const Tensor& images,
       Tensor seed({batch, classes});
       for (std::int64_t i = 0; i < batch; ++i) seed[i * classes + c] = 1.0f;
       class_grads.push_back(model.backward(seed));
-      model.zero_grad();
     }
 
     bool any_active = false;

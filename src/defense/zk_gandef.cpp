@@ -5,6 +5,7 @@
 
 #include "data/preprocess.hpp"
 #include "nn/loss.hpp"
+#include "nn/parameter.hpp"
 #include "obs/telemetry.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/pool.hpp"
@@ -89,12 +90,14 @@ float GanDefTrainerBase::update_classifier(
       nn::softmax_cross_entropy_into(logits_, labels, grad_);
 
   // Gradient of the (frozen) discriminator's BCE w.r.t. the logits. The
-  // backward pass accumulates into D's parameters too; those are discarded
-  // by the zero_grad below, which is exactly "fix Omega_D" in Algorithm 1.
+  // backward runs under InputGradOnly, so D's parameter gradients are never
+  // computed: "fix Omega_D" in Algorithm 1, done literally.
   discriminator_.forward_into(logits_, d_logits_, /*training=*/true);
   nn::bce_with_logits_into(d_logits_, source_flags, d_grad_);
-  discriminator_.backward_into(d_grad_, bce_grad_wrt_logits_);
-  discriminator_.zero_grad();
+  {
+    const nn::InputGradOnly frozen_discriminator;
+    discriminator_.backward_into(d_grad_, bce_grad_wrt_logits_);
+  }
 
   // min_C  CE - gamma * BCE  =>  dL/dz = dCE/dz - gamma * dBCE/dz.
   axpy_(grad_, -config_.gamma, bce_grad_wrt_logits_);

@@ -47,14 +47,16 @@ class GanDefTrainerBase : public Trainer {
   /// Rollback LR decay applies to both players of the minimax game.
   void scale_learning_rate(float factor) override;
 
+  /// One classifier update with frozen discriminator: D's parameters and
+  /// their gradients are left untouched. Returns CE.
+  float update_classifier(const Tensor& images,
+                          const std::vector<std::int64_t>& labels,
+                          const Tensor& source_flags);
+
  private:
   /// One discriminator update on frozen classifier logits. Returns BCE.
   float update_discriminator(const Tensor& class_logits,
                              const Tensor& source_flags);
-  /// One classifier update with frozen discriminator. Returns CE.
-  float update_classifier(const Tensor& images,
-                          const std::vector<std::int64_t>& labels,
-                          const Tensor& source_flags);
 
   models::Discriminator discriminator_;
   std::unique_ptr<optim::Adam> disc_optimizer_;

@@ -124,6 +124,10 @@ void BatchNorm::backward_into(const Tensor& grad_output, Tensor& grad_input) {
   const auto n = static_cast<float>(l.count());
 
   ensure_shape(grad_input, cached_input_shape_);
+  // The flag is thread-local: read it here, not inside the chunk body,
+  // which runs on pool workers. Training-mode dx needs the sums anyway.
+  const bool param_grads = param_grads_enabled();
+  const bool need_sums = param_grads || cached_training_;
   // Per-feature gradients touch disjoint slices of grad_input and of the
   // gamma/beta gradient vectors.
   parallel_for(features_, parallel_grain(3 * l.count()),
@@ -132,15 +136,19 @@ void BatchNorm::backward_into(const Tensor& grad_output, Tensor& grad_input) {
       // Parameter gradients.
       double d_gamma = 0.0;
       double d_beta = 0.0;
-      for (std::int64_t r = 0; r < l.rows; ++r) {
-        for (std::int64_t i = 0; i < l.inner; ++i) {
-          const std::int64_t idx = index_of(l, r, f, i);
-          d_gamma += grad_output[idx] * cached_normalized_[idx];
-          d_beta += grad_output[idx];
+      if (need_sums) {
+        for (std::int64_t r = 0; r < l.rows; ++r) {
+          for (std::int64_t i = 0; i < l.inner; ++i) {
+            const std::int64_t idx = index_of(l, r, f, i);
+            d_gamma += grad_output[idx] * cached_normalized_[idx];
+            d_beta += grad_output[idx];
+          }
         }
       }
-      gamma_.grad()[f] += static_cast<float>(d_gamma);
-      beta_.grad()[f] += static_cast<float>(d_beta);
+      if (param_grads) {
+        gamma_.grad()[f] += static_cast<float>(d_gamma);
+        beta_.grad()[f] += static_cast<float>(d_beta);
+      }
 
       const float g = gamma_.value()[f];
       const float inv_std = cached_inv_std_[f];

@@ -206,10 +206,12 @@ void Conv2d::backward_into(const Tensor& grad_output, Tensor& grad_input) {
     }
   });
 
-  matmul_tn_into(grad_w_scratch_, grad_flat_, cached_cols_);
-  weight_.accumulate_grad(grad_w_scratch_);
-  col_sum_into(grad_b_scratch_, grad_flat_);
-  bias_.accumulate_grad(grad_b_scratch_);
+  if (param_grads_enabled()) {
+    matmul_tn_into(grad_w_scratch_, grad_flat_, cached_cols_);
+    weight_.accumulate_grad(grad_w_scratch_);
+    col_sum_into(grad_b_scratch_, grad_flat_);
+    bias_.accumulate_grad(grad_b_scratch_);
+  }
 
   matmul_into(grad_cols_, grad_flat_, weight_.value());
   col2im_into(grad_input, grad_cols_, cached_input_shape_, cfg_);

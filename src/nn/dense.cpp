@@ -33,10 +33,12 @@ void Dense::backward_into(const Tensor& grad_output, Tensor& grad_input) {
       << shape_to_string(grad_output.shape());
   ZKG_REQUIRE(!cached_input_.empty()) << " Dense backward before forward";
   // dW = g^T x, db = sum_rows(g), dx = g W.
-  matmul_tn_into(grad_w_scratch_, grad_output, cached_input_);
-  weight_.accumulate_grad(grad_w_scratch_);
-  col_sum_into(grad_b_scratch_, grad_output);
-  bias_.accumulate_grad(grad_b_scratch_);
+  if (param_grads_enabled()) {
+    matmul_tn_into(grad_w_scratch_, grad_output, cached_input_);
+    weight_.accumulate_grad(grad_w_scratch_);
+    col_sum_into(grad_b_scratch_, grad_output);
+    bias_.accumulate_grad(grad_b_scratch_);
+  }
   matmul_into(grad_input, grad_output, weight_.value());
 }
 

@@ -4,7 +4,10 @@
 // forward_into() caches whatever the layer needs, backward_into() consumes
 // the cache, accumulates parameter gradients and returns the gradient w.r.t.
 // the input. Returning the input gradient is load-bearing — white-box
-// attacks (FGSM, BIM, PGD, DeepFool, CW) are driven by it.
+// attacks (FGSM, BIM, PGD, DeepFool, CW) are driven by it. Under an
+// nn::InputGradOnly scope (nn/parameter.hpp) on the calling thread, layers
+// skip the parameter-gradient work and leave every Parameter::grad()
+// untouched; the input gradient is bit-identical either way.
 //
 // The _into forms are the primary interface: they write into caller-provided
 // destination tensors resized via ensure_shape(), so a layer driven with the
@@ -37,8 +40,9 @@ class Module {
                             bool training) = 0;
 
   /// Back-propagates `grad_output` (gradient of the loss w.r.t. this
-  /// layer's output), accumulating parameter gradients as a side effect.
-  /// Writes the gradient w.r.t. this layer's input into `grad_input`.
+  /// layer's output), accumulating parameter gradients as a side effect
+  /// unless nn::InputGradOnly is active on this thread. Writes the gradient
+  /// w.r.t. this layer's input into `grad_input`.
   virtual void backward_into(const Tensor& grad_output,
                              Tensor& grad_input) = 0;
 

@@ -32,4 +32,26 @@ class Parameter {
   Tensor grad_;
 };
 
+/// RAII scope under which backward passes on the calling thread compute
+/// only the gradient w.r.t. their input: Conv2d, Dense and BatchNorm skip
+/// their parameter-gradient work and leave every Parameter::grad()
+/// untouched. Attacks and the backward through a frozen network run under
+/// it. The flag is thread-local, so models trained on other threads keep
+/// accumulating; scopes nest and restore the previous state on exit.
+class InputGradOnly {
+ public:
+  InputGradOnly();
+  ~InputGradOnly();
+  InputGradOnly(const InputGradOnly&) = delete;
+  InputGradOnly& operator=(const InputGradOnly&) = delete;
+
+ private:
+  bool previous_;
+};
+
+/// False while an InputGradOnly scope is active on the calling thread.
+/// Layers read it once per backward, on the calling thread, before any
+/// parallel_for.
+bool param_grads_enabled();
+
 }  // namespace zkg::nn

@@ -14,14 +14,19 @@
 #include "data/preprocess.hpp"
 #include "defense/vanilla.hpp"
 #include "eval/metrics.hpp"
+#include "models/allcnn.hpp"
 #include "models/lenet.hpp"
 #include "models/session.hpp"
+#include "nn/loss.hpp"
+#include "nn/parameter.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/random.hpp"
 #include "tests/test_util.hpp"
 
 namespace zkg::attacks {
 namespace {
+
+using testutil::same_bits;
 
 // A tiny trained classifier shared across the effectiveness tests (training
 // once keeps the suite fast).
@@ -114,6 +119,74 @@ TEST(InputGradient, LeavesParameterGradientsZero) {
   input_gradient(model, x, {0});
   for (nn::Parameter* p : model.parameters()) {
     EXPECT_FLOAT_EQ(max_abs(p->grad()), 0.0f) << p->name();
+  }
+}
+
+// The backward under nn::InputGradOnly returns the same input gradient, bit
+// for bit, as a full backward from the same forward caches.
+void expect_scoped_input_gradient_identical(models::Classifier& model,
+                                            const Tensor& x,
+                                            const std::vector<std::int64_t>&
+                                                labels) {
+  Tensor logits;
+  model.forward_into(x, logits, /*training=*/false);
+  Tensor seed;
+  nn::softmax_cross_entropy_into(logits, labels, seed);
+  Tensor scoped;
+  {
+    const nn::InputGradOnly input_grad_only;
+    model.backward_into(seed, scoped);
+  }
+  Tensor full;
+  model.backward_into(seed, full);
+  EXPECT_TRUE(same_bits(scoped, full));
+  EXPECT_GT(max_abs(full), 0.0f);
+}
+
+TEST(InputGradOnly, LeNetInputGradientIsBitIdentical) {
+  Rng rng(8);
+  models::Classifier model =
+      models::build_lenet({1, 28, 28, 10}, models::Preset::kBench, rng);
+  Rng data_rng(9);
+  const Tensor x = randn({4, 1, 28, 28}, data_rng, 0.0f, 0.3f);
+  expect_scoped_input_gradient_identical(model, x, {0, 3, 5, 9});
+}
+
+TEST(InputGradOnly, AllCnnInputGradientIsBitIdentical) {
+  Rng rng(10);
+  models::Classifier model =
+      models::build_allcnn({3, 32, 32, 10}, models::Preset::kBench, rng);
+  Rng data_rng(11);
+  const Tensor x = randn({2, 3, 32, 32}, data_rng, 0.0f, 0.3f);
+  expect_scoped_input_gradient_identical(model, x, {1, 7});
+}
+
+// Every attack leaves each parameter gradient exactly as it found it, even
+// when the accumulators hold a non-zero value.
+TEST(InputGradOnly, AttacksLeaveParameterGradientsUntouched) {
+  constexpr float kSentinel = 0.375f;
+  Rng rng(12);
+  models::Classifier model =
+      models::build_lenet({1, 28, 28, 10}, models::Preset::kBench, rng);
+  Rng data_rng(13);
+  const Tensor x = rand_uniform({3, 1, 28, 28}, data_rng, -0.5f, 0.5f);
+  const std::vector<std::int64_t> labels{2, 4, 6};
+  const AttackBudget budget{.epsilon = 0.2f, .step_size = 0.05f,
+                            .iterations = 3, .restarts = 1};
+  Rng pgd_rng(14);
+  std::vector<AttackPtr> attacks;
+  attacks.push_back(std::make_unique<Fgsm>(budget));
+  attacks.push_back(std::make_unique<Bim>(budget));
+  attacks.push_back(std::make_unique<Pgd>(budget, pgd_rng));
+  attacks.push_back(std::make_unique<CarliniWagner>(budget));
+  attacks.push_back(std::make_unique<DeepFool>(budget));
+  for (const AttackPtr& attack : attacks) {
+    for (nn::Parameter* p : model.parameters()) p->grad().fill(kSentinel);
+    attack->generate(model, x, labels);
+    for (nn::Parameter* p : model.parameters()) {
+      EXPECT_TRUE(same_bits(p->grad(), Tensor(p->grad().shape(), kSentinel)))
+          << attack->name() << " touched " << p->name();
+    }
   }
 }
 

@@ -376,6 +376,45 @@ TEST(ZkGanDef, DeterministicGivenSeed) {
   EXPECT_TRUE(a.forward(probe, false).equals(b.forward(probe, false)));
 }
 
+// Exposes the classifier half of Algorithm 1 so a test can run it alone.
+class ClassifierStepProbe : public ZkGanDefTrainer {
+ public:
+  using ZkGanDefTrainer::ZkGanDefTrainer;
+  using GanDefTrainerBase::update_classifier;
+};
+
+TEST(ZkGanDef, ClassifierStepLeavesFrozenDiscriminatorGradients) {
+  constexpr float kSentinel = -2.5f;
+  const data::Dataset train = small_train_set(16);
+  models::Classifier model = fresh_model();
+  ClassifierStepProbe trainer(model, quick_config(1));
+  std::vector<nn::Parameter*> d_params =
+      trainer.discriminator().parameters();
+  std::vector<Tensor> d_values;
+  for (nn::Parameter* p : d_params) {
+    p->grad().fill(kSentinel);
+    d_values.push_back(p->value());
+  }
+  const Tensor classifier_before = model.parameters().front()->value();
+
+  Tensor flags({train.size(), 1});
+  for (std::int64_t i = train.size() / 2; i < train.size(); ++i) {
+    flags[i] = 1.0f;
+  }
+  const float ce = trainer.update_classifier(train.images, train.labels,
+                                             flags);
+  EXPECT_TRUE(std::isfinite(ce));
+  EXPECT_FALSE(model.parameters().front()->value().equals(classifier_before));
+  for (std::size_t i = 0; i < d_params.size(); ++i) {
+    EXPECT_TRUE(
+        d_params[i]->grad().equals(Tensor(d_params[i]->grad().shape(),
+                                          kSentinel)))
+        << d_params[i]->name();
+    EXPECT_TRUE(d_params[i]->value().equals(d_values[i]))
+        << d_params[i]->name();
+  }
+}
+
 TEST(Clp, SingleExampleBatchIsSkippedGracefully) {
   // A batch of one cannot be paired; the trainer must not crash.
   Rng rng(1);

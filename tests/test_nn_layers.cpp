@@ -2,8 +2,13 @@
 // checks for every layer (both input gradients and parameter gradients).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <thread>
+
 #include "common/rng.hpp"
 #include "nn/activations.hpp"
+#include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
 #include "nn/dropout.hpp"
@@ -19,6 +24,7 @@ namespace {
 
 using testutil::expect_close;
 using testutil::numerical_gradient;
+using testutil::same_bits;
 
 // Checks d(sum(layer(x)))/dx against central differences, and (when the
 // layer has parameters) d(sum)/d(param) too.
@@ -292,6 +298,90 @@ TEST(Parameter, ZeroAndAccumulate) {
   EXPECT_TRUE(p.grad().equals(Tensor({2}, std::vector<float>{4, 5})));
   p.zero_grad();
   EXPECT_TRUE(p.grad().equals(Tensor({2})));
+}
+
+// Conv -> BatchNorm -> ReLU -> Dense: every layer kind that owns
+// parameters, in one small network.
+Sequential conv_batchnorm_net(Rng& rng) {
+  Sequential net;
+  net.emplace<Conv2d>(Conv2dConfig{.in_channels = 2, .out_channels = 4,
+                                   .kernel = 3, .stride = 1, .padding = 1},
+                      rng);
+  net.emplace<BatchNorm>(4);
+  net.emplace<ReLU>();
+  net.emplace<Flatten>();
+  net.emplace<Dense>(4 * 6 * 6, 3, rng);
+  return net;
+}
+
+float max_param_grad(Module& net) {
+  float largest = 0.0f;
+  for (Parameter* p : net.parameters()) {
+    largest = std::max(largest, max_abs(p->grad()));
+  }
+  return largest;
+}
+
+TEST(InputGradOnly, BatchNormNetInputGradientIsBitIdentical) {
+  for (const bool training : {true, false}) {
+    Rng rng(18);
+    Sequential net = conv_batchnorm_net(rng);
+    const Tensor x = randn({3, 2, 6, 6}, rng);
+    const Tensor seed = randn({3, 3}, rng);
+    net.forward(x, training);
+    Tensor scoped;
+    {
+      const InputGradOnly input_grad_only;
+      scoped = net.backward(seed);
+    }
+    EXPECT_EQ(max_param_grad(net), 0.0f) << "training=" << training;
+    const Tensor full = net.backward(seed);
+    EXPECT_TRUE(same_bits(scoped, full)) << "training=" << training;
+    EXPECT_GT(max_param_grad(net), 0.0f) << "training=" << training;
+  }
+}
+
+TEST(InputGradOnly, FlagIsThreadLocal) {
+  Rng rng(19);
+  Sequential net = conv_batchnorm_net(rng);
+  const Tensor x = randn({3, 2, 6, 6}, rng);
+  const Tensor seed = randn({3, 3}, rng);
+
+  const InputGradOnly input_grad_only;
+  ASSERT_FALSE(param_grads_enabled());
+  bool worker_enabled = false;
+  float worker_grad = 0.0f;
+  std::thread worker([&] {
+    worker_enabled = param_grads_enabled();
+    net.forward(x, /*training=*/true);
+    net.backward(seed);
+    worker_grad = max_param_grad(net);
+  });
+  worker.join();
+  EXPECT_TRUE(worker_enabled);
+  EXPECT_GT(worker_grad, 0.0f);
+  EXPECT_FALSE(param_grads_enabled());
+}
+
+TEST(InputGradOnly, RestoredAfterNestingAndExceptions) {
+  EXPECT_TRUE(param_grads_enabled());
+  {
+    const InputGradOnly outer;
+    EXPECT_FALSE(param_grads_enabled());
+    {
+      const InputGradOnly inner;
+      EXPECT_FALSE(param_grads_enabled());
+    }
+    EXPECT_FALSE(param_grads_enabled());
+  }
+  EXPECT_TRUE(param_grads_enabled());
+  EXPECT_THROW(
+      {
+        const InputGradOnly scope;
+        throw std::runtime_error("thrown inside the scope");
+      },
+      std::runtime_error);
+  EXPECT_TRUE(param_grads_enabled());
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 
 #include <gtest/gtest.h>
@@ -36,6 +37,14 @@ inline void expect_close(const Tensor& actual, const Tensor& expected,
     const float tolerance = atol + rtol * std::fabs(expected[i]);
     EXPECT_NEAR(actual[i], expected[i], tolerance) << "at flat index " << i;
   }
+}
+
+/// True when both tensors have the same shape and identical bytes.
+inline bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) ==
+             0;
 }
 
 }  // namespace zkg::testutil

@@ -17,6 +17,9 @@ the concurrency rules that arrived with the LockRank layer:
                        missing signal; compute one deadline sleep or retry
                        through zkg::Backoff. Unlike the layer rules this one
                        also sweeps bench/, examples/ and tests/.
+  attack-zero-grad     no zero_grad token under src/attacks/ — attacks
+                       leave a model's parameter gradients alone and run
+                       their backward passes under nn::InputGradOnly
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ ATOMIC_WRITE_LAYER = {"src/tensor/serialize.cpp"}
 
 # Files allowed to use raw SIMD intrinsics: the kernel backends.
 SIMD_LAYER_PREFIX = "src/tensor/backend/"
+
+# Directory whose code must never reset a model's parameter gradients.
+ATTACKS_PREFIX = "src/attacks/"
 
 # The one file allowed to name raw std synchronisation primitive TYPES.
 LOCKRANK_LAYER = "src/common/lockrank.hpp"
@@ -109,6 +115,7 @@ def _lint_tokens(source: SourceFile, reporter: Reporter) -> None:
                        or rel in ATOMIC_WRITE_LAYER)
     in_simd_layer = rel.startswith(SIMD_LAYER_PREFIX)
     in_lockrank_layer = rel == LOCKRANK_LAYER
+    in_attacks = rel.startswith(ATTACKS_PREFIX)
 
     for i, tok in enumerate(code):
         prev = code[i - 1] if i > 0 else None
@@ -215,6 +222,14 @@ def _lint_tokens(source: SourceFile, reporter: Reporter) -> None:
                     source, "simd-outside-backend", tok.line,
                     "raw SIMD intrinsics outside src/tensor/backend/; add a "
                     "KernelBackend kernel instead")
+
+        # Attacks need only the input gradient; zeroing parameter gradients
+        # would wipe whatever a caller had accumulated.
+        if in_attacks and tok.kind == "id" and tok.text == "zero_grad":
+            reporter.report(
+                source, "attack-zero-grad", tok.line,
+                "zero_grad under src/attacks/; attacks must leave parameter "
+                "gradients alone (run the backward under nn::InputGradOnly)")
 
         # Detached threads: a fire-and-forget thread outlives every
         # invariant the destructor order was designed to protect.

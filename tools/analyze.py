@@ -59,7 +59,7 @@ def main(argv: list[str]) -> int:
 
 MINI_MANIFEST = """\
 [layers]
-order = ["common", "obs", "tensor", "data", "serve"]
+order = ["common", "obs", "tensor", "data", "attacks", "serve"]
 
 [[waiver]]
 file = "src/common/waived.cpp"
@@ -217,6 +217,23 @@ void retry() {
   } while (again());
 }
 """, {"sleep-in-loop": 3}),
+    # attack-zero-grad: a zero_grad call under src/attacks/ fires; the
+    # mentions in a comment and a string must not, nor does a trainer's
+    # zero_grad outside src/attacks/.
+    ("src/attacks/resets.cpp", """\
+void attack(Model& model) {
+  model.zero_grad();
+}
+""", {"attack-zero-grad": 2}),
+    ("src/attacks/mentions.cpp", """\
+// model.zero_grad() in a comment is fine
+static const char* kMsg = "zero_grad";
+""", {}),
+    ("src/data/trainer_step.cpp", """\
+void step(Model& model) {
+  model.zero_grad();
+}
+""", {}),
 ]
 
 # Rules that must NOT fire anywhere in the mini tree.
@@ -227,6 +244,8 @@ FORBIDDEN: dict[str, set[str]] = {
     "src/tensor/standalone.cpp": {"naked-allocation"},
     "src/serve/single_sleep.cpp": {"sleep-in-loop"},
     "src/common/backoff.hpp": {"sleep-in-loop"},
+    "src/attacks/mentions.cpp": {"attack-zero-grad"},
+    "src/data/trainer_step.cpp": {"attack-zero-grad"},
 }
 
 
