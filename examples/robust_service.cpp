@@ -1,7 +1,7 @@
 // Robust inference service: the deployment story, end to end. Trains a
 // defended model fault-tolerantly (crash-safe train checkpoints, graceful
-// Ctrl-C, NaN rollback — DESIGN.md §11), checkpoints the weights to disk,
-// reloads them in a fresh "serving" process image, and stands up an
+// Ctrl-C, NaN rollback — DESIGN.md §11), loads the trained weights from the
+// run's final .zkgc snapshot into a fresh "serving" model, and stands up an
 // InferenceServer (DESIGN.md §14): concurrent clients submit single
 // images, the micro-batching engine folds them into pooled batched
 // forwards, and the ZK-GanDef discriminator scores every request as a
@@ -9,7 +9,6 @@
 // motivates for security-sensitive classifiers (spam filtering, face
 // recognition).
 #include <atomic>
-#include <cstdio>
 #include <filesystem>
 #include <future>
 #include <iostream>
@@ -19,6 +18,7 @@
 #include "attacks/pgd.hpp"
 #include "ckpt/io.hpp"
 #include "ckpt/signal.hpp"
+#include "ckpt/train_state.hpp"
 #include "common/backoff.hpp"
 #include "common/rng.hpp"
 #include "data/preprocess.hpp"
@@ -29,7 +29,6 @@
 
 int main() {
   using namespace zkg;
-  const std::string checkpoint = "/tmp/zkg_robust_service.ckpt";
   const std::string train_ckpt_dir = "/tmp/zkg_robust_service_ckpts";
 
   Rng rng(11);
@@ -65,14 +64,17 @@ int main() {
               << train_ckpt_dir << "\n";
     return 0;
   }
-  trained.save(checkpoint);
-  std::cout << "checkpoint written to " << checkpoint << "\n";
+  // fit() ends with a final snapshot, so the newest one holds the trained
+  // weights (the trainer's config carries any ZKG_CKPT_DIR override).
+  const std::string checkpoint =
+      ckpt::latest_checkpoint(trainer.config().checkpoint.dir);
+  std::cout << "serving weights from " << checkpoint << "\n";
 
   // ---- Serving side: fresh model object, weights restored from disk ----
   Rng serving_rng(999);  // different init; load_state overwrites it
   models::Classifier serving = models::build_lenet(
       models::InputSpec{1, 28, 28, 10}, models::Preset::kBench, serving_rng);
-  serving.load(checkpoint);
+  serving.net().load_state(ckpt::load_train_state(checkpoint).model_params);
 
   // Sanity: the restored model agrees with the trained one.
   const Tensor probe = split.test.images.slice_rows(0, 16);
@@ -165,7 +167,6 @@ int main() {
             << stats.p99_latency_s * 1e3 << " ms; " << retries.load()
             << " submissions retried after load shedding\n";
 
-  std::remove(checkpoint.c_str());
   std::filesystem::remove_all(train_ckpt_dir);
   return 0;
 }

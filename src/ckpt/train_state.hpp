@@ -10,12 +10,16 @@
 //   magic "ZKGC", u32 version, u32 section_count, then per section
 //   u32 fourcc tag, u64 payload_size, payload bytes, u32 CRC32(payload).
 // Sections: META (cursor, accumulators, history, counters), MODL (model
-// parameters as a ZKGT tensor stream), OPTS (optimizer snapshots), RNGS
-// (named mt19937_64 state strings), BATC (batcher permutation + cursor),
-// XTRA (named auxiliary tensor groups, e.g. the GanDef discriminator).
-// Every section is CRC-checked before parsing; any mismatch, truncation or
-// unknown required structure throws zkg::SerializationError with the byte
-// offset — a corrupted checkpoint is never read as garbage.
+// parameters), OPTS (optimizer snapshots), RNGS (named mt19937_64 state
+// strings), BATC (batcher permutation + cursor), XTRA (named auxiliary
+// tensor groups, e.g. the GanDef discriminator). A tensor group is a u64
+// count, then per tensor magic "ZKGT", u32 version, u32 rank,
+// i64 dims[rank], f32 data[numel]. ZKGC is the only on-disk tensor format.
+// Every section is CRC-checked before parsing, and every count and tensor
+// size is checked against the bytes left in its section before anything
+// is allocated; any mismatch, truncation or unknown required structure
+// throws zkg::SerializationError with the byte offset — a corrupted or
+// crafted checkpoint is never read as garbage.
 #pragma once
 
 #include <cstdint>

@@ -40,12 +40,6 @@ bool Batcher::next_into(Batch& out) {
   return true;
 }
 
-std::optional<Batch> Batcher::next() {
-  Batch batch;
-  if (!next_into(batch)) return std::nullopt;
-  return batch;
-}
-
 std::int64_t Batcher::batches_per_epoch() const {
   const auto total = static_cast<std::int64_t>(order_.size());
   return (total + batch_size_ - 1) / batch_size_;

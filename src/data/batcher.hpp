@@ -1,8 +1,6 @@
 // Batcher: shuffled mini-batch iteration over a Dataset.
 #pragma once
 
-#include <optional>
-
 #include "common/rng.hpp"
 #include "data/dataset.hpp"
 
@@ -60,10 +58,6 @@ class Batcher : public BatchSource {
           bool shuffle = true);
 
   void start_epoch() override;
-
-  /// Next batch, or nullopt at the end of the epoch. Allocates through the
-  /// pool; the steady-state training loop uses next_into instead.
-  std::optional<Batch> next();
 
   bool next_into(Batch& out) override;
 

@@ -127,12 +127,6 @@ bool PrefetchBatcher::next_into(Batch& out) {
   return true;
 }
 
-std::optional<Batch> PrefetchBatcher::next() {
-  Batch batch;
-  if (!next_into(batch)) return std::nullopt;
-  return batch;
-}
-
 BatcherState PrefetchBatcher::state() const {
   // Consumer-side snapshot: the shuffle stream and permutation are frozen
   // for the epoch; only the consumed cursor moves. The producer's

@@ -42,8 +42,6 @@ class PrefetchBatcher : public BatchSource {
 
   void start_epoch() override;
   bool next_into(Batch& out) override;
-  /// Convenience wrapper matching Batcher::next().
-  std::optional<Batch> next();
 
   std::int64_t batch_size() const override { return inner_.batch_size(); }
   std::int64_t batches_per_epoch() const override {

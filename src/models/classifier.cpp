@@ -1,7 +1,5 @@
 #include "models/classifier.hpp"
 
-#include "tensor/serialize.hpp"
-
 namespace zkg::models {
 
 Classifier::Classifier(std::string name, InputSpec spec, nn::Sequential net)
@@ -38,14 +36,6 @@ Tensor Classifier::backward(const Tensor& grad_logits) {
 void Classifier::backward_into(const Tensor& grad_logits,
                                Tensor& grad_images) {
   net_.backward_into(grad_logits, grad_images);
-}
-
-void Classifier::save(const std::string& path) {
-  save_tensors(path, net_.state());
-}
-
-void Classifier::load(const std::string& path) {
-  net_.load_state(load_tensors(path));
 }
 
 }  // namespace zkg::models

@@ -1,7 +1,7 @@
 // Classifier: a Sequential network plus the metadata every other subsystem
 // needs — input geometry, class count, and a human-readable name. Attacks
 // use the input spec to validate shapes; trainers use it to size batches;
-// checkpoints round-trip through save()/load().
+// checkpoints carry net().state() in a ZKGC snapshot (ckpt/train_state.hpp).
 #pragma once
 
 #include <string>
@@ -52,10 +52,6 @@ class Classifier {
   const std::string& name() const { return name_; }
   const InputSpec& spec() const { return spec_; }
   nn::Sequential& net() { return net_; }
-
-  /// Binary checkpoint of all parameter values.
-  void save(const std::string& path);
-  void load(const std::string& path);
 
  private:
   std::string name_;

@@ -171,10 +171,11 @@ TEST(Batcher, CoversEveryExampleOncePerEpoch) {
   Batcher batcher(ds, 8, rng);
   std::int64_t seen = 0;
   std::int64_t batches = 0;
-  while (auto batch = batcher.next()) {
-    seen += batch->size();
+  Batch batch;
+  while (batcher.next_into(batch)) {
+    seen += batch.size();
     ++batches;
-    EXPECT_LE(batch->size(), 8);
+    EXPECT_LE(batch.size(), 8);
   }
   EXPECT_EQ(seen, 25);
   EXPECT_EQ(batches, batcher.batches_per_epoch());
@@ -185,9 +186,10 @@ TEST(Batcher, ShuffleChangesOrderAcrossEpochs) {
   Rng rng(8);
   const Dataset ds = make_synth_digits(64, rng);
   Batcher batcher(ds, 64, rng);
-  const Batch first = *batcher.next();
+  Batch first, second;
+  ASSERT_TRUE(batcher.next_into(first));
   batcher.start_epoch();
-  const Batch second = *batcher.next();
+  ASSERT_TRUE(batcher.next_into(second));
   EXPECT_NE(first.labels, second.labels);  // overwhelmingly likely
 }
 
@@ -195,7 +197,8 @@ TEST(Batcher, NoShuffleIsSequential) {
   Rng rng(9);
   const Dataset ds = make_synth_digits(10, rng);
   Batcher batcher(ds, 4, rng, /*shuffle=*/false);
-  const Batch batch = *batcher.next();
+  Batch batch;
+  ASSERT_TRUE(batcher.next_into(batch));
   for (std::int64_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ(batch.labels[static_cast<std::size_t>(i)], ds.label(i));
   }
@@ -205,15 +208,16 @@ TEST(Batcher, LabelsTravelWithImages) {
   Rng rng(10);
   const Dataset ds = make_synth_digits(40, rng);
   Batcher batcher(ds, 16, rng);
-  while (auto batch = batcher.next()) {
+  Batch batch;
+  while (batcher.next_into(batch)) {
     // Each image in the batch must carry its own label: verify by matching
     // checksums back to the source dataset.
-    for (std::int64_t i = 0; i < batch->size(); ++i) {
-      const float checksum = sum(batch->images.slice_rows(i, i + 1));
+    for (std::int64_t i = 0; i < batch.size(); ++i) {
+      const float checksum = sum(batch.images.slice_rows(i, i + 1));
       bool matched = false;
       for (std::int64_t j = 0; j < ds.size(); ++j) {
         if (sum(ds.image(j)) == checksum) {
-          EXPECT_EQ(batch->labels[static_cast<std::size_t>(i)], ds.label(j));
+          EXPECT_EQ(batch.labels[static_cast<std::size_t>(i)], ds.label(j));
           matched = true;
           break;
         }

@@ -1,9 +1,8 @@
-// Evaluation-layer tests: metrics, the batched evaluator, serialization and
-// the experiment scaffolding (scales, presets, result tables).
+// Evaluation-layer tests: metrics, the batched evaluator and the experiment
+// scaffolding (scales, presets, result tables).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <sstream>
 
 #include "attacks/fgsm.hpp"
 #include "attacks/noise.hpp"
@@ -14,8 +13,6 @@
 #include "eval/metrics.hpp"
 #include "models/lenet.hpp"
 #include "tensor/ops.hpp"
-#include "tensor/random.hpp"
-#include "tensor/serialize.hpp"
 
 namespace zkg::eval {
 namespace {
@@ -108,124 +105,6 @@ TEST(Evaluator, ReportsPerAttackEntries) {
   EXPECT_LE(eval.attack("FGSM").perturbation.max_linf, 0.2f + 1e-5f);
   EXPECT_GT(eval.attack("GaussianNoise").perturbation.mean_l2, 0.0f);
   EXPECT_THROW(eval.attack("PGD"), InvalidArgument);
-}
-
-TEST(Serialize, TensorRoundTrip) {
-  Rng rng(8);
-  const Tensor t = randn({3, 4, 5}, rng);
-  std::stringstream buffer;
-  write_tensor(buffer, t);
-  const Tensor back = read_tensor(buffer);
-  EXPECT_TRUE(back.equals(t));
-}
-
-TEST(Serialize, VectorRoundTripAndCorruption) {
-  Rng rng(9);
-  const std::vector<Tensor> tensors{randn({2, 2}, rng), Tensor({7}, 1.0f)};
-  std::stringstream buffer;
-  write_tensors(buffer, tensors);
-  const std::vector<Tensor> back = read_tensors(buffer);
-  ASSERT_EQ(back.size(), 2u);
-  EXPECT_TRUE(back[0].equals(tensors[0]));
-  EXPECT_TRUE(back[1].equals(tensors[1]));
-
-  std::stringstream bad("not a tensor stream");
-  EXPECT_THROW(read_tensor(bad), SerializationError);
-  std::stringstream truncated;
-  write_tensor(truncated, tensors[0]);
-  std::string data = truncated.str();
-  data.resize(data.size() / 2);
-  std::stringstream half(data);
-  EXPECT_THROW(read_tensor(half), SerializationError);
-}
-
-// Corruption matrix for the hardened readers: every truncation point and
-// each header field flipped must raise a typed SerializationError — never a
-// garbage tensor, never a crash.
-TEST(Serialize, TruncationAtEveryByteThrows) {
-  Rng rng(11);
-  std::stringstream buffer;
-  write_tensor(buffer, randn({2, 3}, rng));
-  const std::string full = buffer.str();
-  for (std::size_t n = 0; n < full.size(); ++n) {
-    std::stringstream cut(full.substr(0, n));
-    EXPECT_THROW(read_tensor(cut), SerializationError)
-        << "no error when truncated to " << n << " of " << full.size()
-        << " bytes";
-  }
-  std::stringstream whole(full);
-  EXPECT_NO_THROW(read_tensor(whole));
-}
-
-TEST(Serialize, CorruptHeaderFieldsThrowWithContext) {
-  Rng rng(12);
-  std::stringstream buffer;
-  write_tensor(buffer, randn({2, 3}, rng));
-  const std::string good = buffer.str();
-
-  auto expect_error_containing = [](const std::string& bytes,
-                                    const std::string& needle) {
-    std::stringstream in(bytes);
-    try {
-      read_tensor(in);
-      FAIL() << "expected SerializationError mentioning '" << needle << "'";
-    } catch (const SerializationError& e) {
-      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
-          << "actual message: " << e.what();
-    }
-  };
-
-  std::string bad_magic = good;
-  bad_magic[0] = 'X';
-  expect_error_containing(bad_magic, "magic");
-
-  std::string bad_version = good;
-  bad_version[4] = 9;  // version u32 at offset 4
-  expect_error_containing(bad_version, "version");
-
-  std::string bad_rank = good;
-  bad_rank[8] = 100;  // rank u32 at offset 8
-  expect_error_containing(bad_rank, "rank");
-
-  std::string negative_dim = good;
-  negative_dim[12 + 7] = static_cast<char>(0xFF);  // dims[0] sign byte
-  expect_error_containing(negative_dim, "negative dimension");
-
-  std::string huge_dim = good;
-  huge_dim[12 + 5] = 0x7F;  // dims[0] ~ 2^46: overflows the element limit
-  expect_error_containing(huge_dim, "implausible tensor size");
-
-  // Errors carry the byte offset for debugging partial files.
-  std::string truncated = good.substr(0, good.size() - 3);
-  expect_error_containing(truncated, "at byte");
-}
-
-TEST(Serialize, VectorErrorsNameTheFailingTensor) {
-  Rng rng(13);
-  std::stringstream buffer;
-  write_tensors(buffer, {randn({2}, rng), randn({3}, rng)});
-  std::string bytes = buffer.str();
-  bytes.resize(bytes.size() - 4);  // cut into tensor 1's data
-  std::stringstream in(bytes);
-  try {
-    read_tensors(in);
-    FAIL() << "expected SerializationError";
-  } catch (const SerializationError& e) {
-    EXPECT_NE(std::string(e.what()).find("tensor 1 of 2"), std::string::npos)
-        << "actual message: " << e.what();
-  }
-}
-
-TEST(Serialize, FileHelpers) {
-  const std::string path = "/tmp/zkg_test_tensors.bin";
-  Rng rng(10);
-  const std::vector<Tensor> tensors{randn({4}, rng)};
-  save_tensors(path, tensors);
-  const std::vector<Tensor> back = load_tensors(path);
-  ASSERT_EQ(back.size(), 1u);
-  EXPECT_TRUE(back[0].equals(tensors[0]));
-  std::remove(path.c_str());
-  EXPECT_THROW(load_tensors(path), SerializationError);
 }
 
 TEST(ExperimentScale, BenchDefaults) {

@@ -5,6 +5,7 @@
 
 #include "attacks/fgsm.hpp"
 #include "attacks/pgd.hpp"
+#include "ckpt/train_state.hpp"
 #include "common/rng.hpp"
 #include "data/preprocess.hpp"
 #include "defense/registry.hpp"
@@ -140,12 +141,14 @@ TEST(CheckpointPipeline, TrainedDefenseSurvivesSaveLoad) {
   config.batch_size = 64;
   defense::ZkGanDefTrainer(model, config).fit(train);
 
-  const std::string path = "/tmp/zkg_integration.ckpt";
-  model.save(path);
+  const std::string path = "/tmp/zkg_integration.zkgc";
+  ckpt::TrainState state;
+  state.model_params = model.net().state();
+  ckpt::save_train_state(path, state);
   Rng other_rng(1234);
   models::Classifier restored = models::build_lenet(
       {1, 28, 28, 10}, models::Preset::kBench, other_rng);
-  restored.load(path);
+  restored.net().load_state(ckpt::load_train_state(path).model_params);
   const Tensor probe = train.images.slice_rows(0, 16);
   EXPECT_TRUE(model.forward(probe, false).equals(restored.forward(probe, false)));
   std::remove(path.c_str());

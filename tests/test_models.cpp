@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "common/rng.hpp"
+#include "ckpt/train_state.hpp"
 #include "models/allcnn.hpp"
 #include "models/discriminator.hpp"
 #include "models/lenet.hpp"
@@ -75,15 +76,17 @@ TEST(Classifier, PredictReturnsArgmax) {
 }
 
 TEST(Classifier, CheckpointRoundTrip) {
-  const std::string path = "/tmp/zkg_test_checkpoint.ckpt";
+  const std::string path = "/tmp/zkg_test_checkpoint.zkgc";
   Rng rng_a(11), rng_b(99);
   Classifier a = build_lenet({1, 28, 28, 10}, Preset::kBench, rng_a);
   Classifier b = build_lenet({1, 28, 28, 10}, Preset::kBench, rng_b);
   Rng data_rng(12);
   const Tensor x = randn({2, 1, 28, 28}, data_rng);
   ASSERT_FALSE(a.forward(x, false).allclose(b.forward(x, false)));
-  a.save(path);
-  b.load(path);
+  ckpt::TrainState state;
+  state.model_params = a.net().state();
+  ckpt::save_train_state(path, state);
+  b.net().load_state(ckpt::load_train_state(path).model_params);
   EXPECT_TRUE(a.forward(x, false).allclose(b.forward(x, false)));
   std::remove(path.c_str());
 }

@@ -37,10 +37,9 @@ PARALLEL_LAYER = {
     "src/common/threadpool.hpp",
 }
 
-# Files allowed to open std::ofstream directly: the crash-safe checkpoint
-# writer itself and the tensor serializer it builds on.
+# Directory allowed to open std::ofstream directly: the crash-safe
+# checkpoint writer.
 ATOMIC_WRITE_LAYER_PREFIX = "src/ckpt/"
-ATOMIC_WRITE_LAYER = {"src/tensor/serialize.cpp"}
 
 # Files allowed to use raw SIMD intrinsics: the kernel backends.
 SIMD_LAYER_PREFIX = "src/tensor/backend/"
@@ -111,8 +110,7 @@ def _lint_tokens(source: SourceFile, reporter: Reporter) -> None:
     rel = source.rel
     code = source.code
     in_parallel_layer = rel in PARALLEL_LAYER
-    in_atomic_layer = (rel.startswith(ATOMIC_WRITE_LAYER_PREFIX)
-                       or rel in ATOMIC_WRITE_LAYER)
+    in_atomic_layer = rel.startswith(ATOMIC_WRITE_LAYER_PREFIX)
     in_simd_layer = rel.startswith(SIMD_LAYER_PREFIX)
     in_lockrank_layer = rel == LOCKRANK_LAYER
     in_attacks = rel.startswith(ATTACKS_PREFIX)

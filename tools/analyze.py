@@ -234,6 +234,20 @@ void step(Model& model) {
   model.zero_grad();
 }
 """, {}),
+    # atomic-write: a raw std::ofstream under src/tensor/ fires; the same
+    # code under src/ckpt/, the crash-safe writer layer, stays silent.
+    ("src/tensor/raw_writer.cpp", """\
+#include <fstream>
+void save(const char* path) {
+  std::ofstream out(path, std::ios::binary);
+}
+""", {"atomic-write": 3}),
+    ("src/ckpt/raw_writer.cpp", """\
+#include <fstream>
+void save(const char* path) {
+  std::ofstream out(path, std::ios::binary);
+}
+""", {}),
 ]
 
 # Rules that must NOT fire anywhere in the mini tree.
@@ -246,6 +260,7 @@ FORBIDDEN: dict[str, set[str]] = {
     "src/common/backoff.hpp": {"sleep-in-loop"},
     "src/attacks/mentions.cpp": {"attack-zero-grad"},
     "src/data/trainer_step.cpp": {"attack-zero-grad"},
+    "src/ckpt/raw_writer.cpp": {"atomic-write"},
 }
 
 
