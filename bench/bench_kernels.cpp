@@ -39,8 +39,11 @@ void BM_Matmul(benchmark::State& state) {
   Rng rng(1);
   const Tensor a = randn({n, n}, rng);
   const Tensor b = randn({n, n}, rng);
+  Tensor c;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(matmul(a, b));
+    matmul_into(c, a, b);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
@@ -51,9 +54,12 @@ void BM_MatmulSerial(benchmark::State& state) {
   Rng rng(1);
   const Tensor a = randn({n, n}, rng);
   const Tensor b = randn({n, n}, rng);
+  Tensor c;
   SerialScope serial;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(matmul(a, b));
+    matmul_into(c, a, b);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
@@ -64,9 +70,12 @@ void BM_MatmulScalarBackend(benchmark::State& state) {
   Rng rng(1);
   const Tensor a = randn({n, n}, rng);
   const Tensor b = randn({n, n}, rng);
+  Tensor c;
   backend::BackendScope scope(backend::scalar_backend());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(matmul(a, b));
+    matmul_into(c, a, b);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
@@ -77,8 +86,11 @@ void BM_MatmulNT(benchmark::State& state) {
   Rng rng(2);
   const Tensor a = randn({n, n}, rng);
   const Tensor b = randn({n, n}, rng);
+  Tensor c;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(matmul_nt(a, b));
+    matmul_nt_into(c, a, b);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
@@ -90,8 +102,11 @@ void BM_Im2Col(benchmark::State& state) {
   const nn::Conv2dConfig cfg{.in_channels = 3, .out_channels = 16,
                              .kernel = 3, .stride = 1, .padding = 1};
   const Tensor x = randn({batch, 3, 32, 32}, rng);
+  Tensor cols;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(nn::im2col(x, cfg));
+    nn::im2col_into(cols, x, cfg);
+    benchmark::DoNotOptimize(cols.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_Im2Col)->Arg(1)->Arg(16)->Arg(64);
@@ -103,9 +118,15 @@ void BM_ConvForwardBackward(benchmark::State& state) {
                    .stride = 1, .padding = 1},
                   rng);
   const Tensor x = randn({batch, 3, 32, 32}, rng);
+  Tensor y;
+  Tensor grad_x;
+  conv.forward_into(x, y, true);
+  const Tensor grad_y(y.shape(), 1.0f);
   for (auto _ : state) {
-    Tensor y = conv.forward(x, true);
-    benchmark::DoNotOptimize(conv.backward(Tensor(y.shape(), 1.0f)));
+    conv.forward_into(x, y, true);
+    conv.backward_into(grad_y, grad_x);
+    benchmark::DoNotOptimize(grad_x.data());
+    benchmark::ClobberMemory();
     conv.zero_grad();
   }
 }
@@ -117,8 +138,11 @@ void BM_SoftmaxCrossEntropy(benchmark::State& state) {
   const Tensor logits = randn({batch, 10}, rng);
   std::vector<std::int64_t> labels(static_cast<std::size_t>(batch));
   for (std::size_t i = 0; i < labels.size(); ++i) labels[i] = i % 10;
+  Tensor grad;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(nn::softmax_cross_entropy(logits, labels));
+    benchmark::DoNotOptimize(
+        nn::softmax_cross_entropy_into(logits, labels, grad));
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_SoftmaxCrossEntropy)->Arg(64)->Arg(1024);
@@ -129,8 +153,11 @@ void BM_LeNetForward(benchmark::State& state) {
   models::Classifier model =
       models::build_lenet({1, 28, 28, 10}, models::Preset::kBench, rng);
   const Tensor x = randn({batch, 1, 28, 28}, rng);
+  Tensor logits;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.forward(x, false));
+    model.forward_into(x, logits, false);
+    benchmark::DoNotOptimize(logits.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * batch);
 }
@@ -235,8 +262,6 @@ void report_kernel_performance() {
   const std::int64_t n = 256;
   const Tensor a = randn({n, n}, rng);
   const Tensor b = randn({n, n}, rng);
-  const Tensor bt = transpose2d(b);
-  const Tensor x = randn({n}, rng);
   const std::int64_t big = 1 << 20;
   const Tensor u = randn({big}, rng);
   const Tensor v = randn({big}, rng);
@@ -251,13 +276,9 @@ void report_kernel_performance() {
   cases.push_back({"matmul_256", 2.0 * n3, gemm_bytes,
                    [&] { matmul_into(c, a, b); }});
   cases.push_back({"matmul_nt_256", 2.0 * n3, gemm_bytes,
-                   [&] { matmul_nt_into(c, a, bt); }});
+                   [&] { matmul_nt_into(c, a, b); }});
   cases.push_back({"matmul_tn_256", 2.0 * n3, gemm_bytes,
                    [&] { matmul_tn_into(c, a, b); }});
-  cases.push_back({"matvec_256", 2.0 * n2, 4.0 * (n2 + 2.0 * n),
-                   [&] { matvec_into(y, a, x); }});
-  cases.push_back({"transpose2d_256", 0.0, 4.0 * 2.0 * n2,
-                   [&] { transpose2d_into(c, a); }});
   cases.push_back({"col_sum_256", n2, 4.0 * (n2 + n),
                    [&] { col_sum_into(y, a); }});
   cases.push_back({"add_1m", static_cast<double>(big),
@@ -316,7 +337,7 @@ void report_kernel_performance() {
   }
   std::printf(
       "\nroofline: kernels left of the machine's flop/byte balance point are"
-      " bandwidth-bound\n(elementwise, transpose, col_sum); the packed GEMM"
+      " bandwidth-bound\n(elementwise, col_sum); the packed GEMM"
       " sits far right and is compute-bound.\n\n");
 
   const std::string json_path = env_or("ZKG_BENCH_JSON", "BENCH_kernels.json");

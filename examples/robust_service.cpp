@@ -78,8 +78,11 @@ int main() {
 
   // Sanity: the restored model agrees with the trained one.
   const Tensor probe = split.test.images.slice_rows(0, 16);
-  ZKG_CHECK(trained.forward(probe, false).allclose(
-      serving.forward(probe, false)))
+  Tensor trained_logits;
+  Tensor served_logits;
+  trained.forward_into(probe, trained_logits, false);
+  serving.forward_into(probe, served_logits, false);
+  ZKG_CHECK(trained_logits.allclose(served_logits))
       << " checkpoint round-trip mismatch";
   std::cout << "checkpoint round-trip verified (16-image probe)\n";
 

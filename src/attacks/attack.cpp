@@ -11,16 +11,6 @@
 
 namespace zkg::attacks {
 
-Tensor input_gradient(models::Classifier& model, const Tensor& images,
-                      const std::vector<std::int64_t>& labels,
-                      float* loss_out) {
-  GradientScratch scratch;
-  Tensor grad;
-  const float loss = input_gradient_into(model, images, labels, scratch, grad);
-  if (loss_out != nullptr) *loss_out = loss;
-  return grad;
-}
-
 float input_gradient_into(models::Classifier& model, const Tensor& images,
                           const std::vector<std::int64_t>& labels,
                           GradientScratch& scratch, Tensor& grad) {
@@ -33,21 +23,33 @@ float input_gradient_into(models::Classifier& model, const Tensor& images,
   return loss;
 }
 
-std::vector<float> per_example_loss(models::Classifier& model,
-                                    const Tensor& images,
-                                    const std::vector<std::int64_t>& labels) {
-  const Tensor logits = model.forward(images, /*training=*/false);
-  const Tensor probs = softmax_rows(logits);
+void per_example_loss_into(models::Classifier& model, const Tensor& images,
+                           const std::vector<std::int64_t>& labels,
+                           GradientScratch& scratch,
+                           std::vector<float>& losses) {
+  model.forward_into(images, scratch.logits, /*training=*/false);
+  const Tensor& logits = scratch.logits;
   const std::int64_t batch = logits.dim(0);
   const std::int64_t classes = logits.dim(1);
-  std::vector<float> losses(static_cast<std::size_t>(batch));
+  check_labels(labels, batch, classes);
+  Tensor& probs = scratch.loss_grad;
+  softmax_rows_into(probs, logits);
+  losses.resize(static_cast<std::size_t>(batch));
   for (std::int64_t i = 0; i < batch; ++i) {
     const std::int64_t label = labels[static_cast<std::size_t>(i)];
-    ZKG_CHECK(label >= 0 && label < classes) << " label " << label;
     losses[static_cast<std::size_t>(i)] =
         -std::log(probs[i * classes + label] + 1e-30f);
   }
-  return losses;
+}
+
+void check_labels(const std::vector<std::int64_t>& labels, std::int64_t batch,
+                  std::int64_t num_classes) {
+  ZKG_REQUIRE(static_cast<std::int64_t>(labels.size()) == batch)
+      << " " << labels.size() << " labels for batch " << batch;
+  for (const std::int64_t label : labels) {
+    ZKG_REQUIRE(label >= 0 && label < num_classes)
+        << " label " << label << " outside [0, " << num_classes << ")";
+  }
 }
 
 void project_linf_(Tensor& adv, const Tensor& origin, float eps) {

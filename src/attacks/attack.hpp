@@ -53,32 +53,34 @@ class Attack {
 
 using AttackPtr = std::unique_ptr<Attack>;
 
-/// Gradient of the mean cross-entropy loss w.r.t. the input pixels.
-/// Runs the model in inference mode and back-propagates under
-/// nn::InputGradOnly, so parameter gradients are neither computed nor
-/// touched and attack passes never leak into training updates. Optionally
-/// reports the loss value.
-Tensor input_gradient(models::Classifier& model, const Tensor& images,
-                      const std::vector<std::int64_t>& labels,
-                      float* loss_out = nullptr);
-
-/// Reusable temporaries for input_gradient_into; keeping one per attack
-/// instance makes repeated gradient queries allocation-free.
+/// Reusable temporaries for input_gradient_into and per_example_loss_into;
+/// keeping one per attack instance makes repeated queries allocation-free.
 struct GradientScratch {
   Tensor logits;
   Tensor loss_grad;
 };
 
-/// As input_gradient, but writes the image gradient into `grad` and routes
-/// intermediates through `scratch`. Returns the loss. Bit-identical.
+/// Gradient of the mean cross-entropy loss w.r.t. the input pixels, written
+/// into `grad`, with intermediates routed through `scratch`. Returns the
+/// loss. Runs the model in inference mode and back-propagates under
+/// nn::InputGradOnly, so parameter gradients are neither computed nor
+/// touched and attack passes never leak into training updates.
 float input_gradient_into(models::Classifier& model, const Tensor& images,
                           const std::vector<std::int64_t>& labels,
                           GradientScratch& scratch, Tensor& grad);
 
-/// Per-example cross-entropy losses (used by PGD restart selection).
-std::vector<float> per_example_loss(models::Classifier& model,
-                                    const Tensor& images,
-                                    const std::vector<std::int64_t>& labels);
+/// Per-example cross-entropy losses (used by PGD restart selection),
+/// written into `losses`; logits and probabilities go through `scratch`.
+void per_example_loss_into(models::Classifier& model, const Tensor& images,
+                           const std::vector<std::int64_t>& labels,
+                           GradientScratch& scratch,
+                           std::vector<float>& losses);
+
+/// Throws zkg::InvalidArgument unless `labels` holds exactly `batch`
+/// labels, each in [0, num_classes). Attacks that index logits or per-class
+/// gradients by label call this before their first query.
+void check_labels(const std::vector<std::int64_t>& labels, std::int64_t batch,
+                  std::int64_t num_classes);
 
 /// Projects `adv` onto the l_inf ball of radius eps around `origin`, then
 /// into the valid pixel range. Mutates `adv`.

@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "nn/parameter.hpp"
-#include "tensor/ops.hpp"
+#include "tensor/pool.hpp"
 
 namespace zkg::attacks {
 
@@ -18,6 +18,7 @@ Tensor CarliniWagner::generate(models::Classifier& model, const Tensor& images,
                                const std::vector<std::int64_t>& labels) {
   const std::int64_t batch = images.dim(0);
   const std::int64_t classes = model.spec().num_classes;
+  check_labels(labels, batch, classes);
 
   Tensor adv = images;
   // Adam state over the perturbation variable.
@@ -30,29 +31,30 @@ Tensor CarliniWagner::generate(models::Classifier& model, const Tensor& images,
   // The attack needs only input gradients; parameter gradients stay as the
   // caller left them.
   const nn::InputGradOnly input_grad_only;
+  ensure_shape(seed_, {batch, classes});
   for (std::int64_t it = 1; it <= budget_.iterations; ++it) {
-    const Tensor logits = model.forward(adv, /*training=*/false);
+    model.forward_into(adv, logits_, /*training=*/false);
 
     // Seed gradient of the margin loss: +1 on the true class, -1 on the
     // strongest other class, but only while the margin exceeds -kappa.
-    Tensor seed({batch, classes});
+    seed_.fill(0.0f);
     for (std::int64_t i = 0; i < batch; ++i) {
       const std::int64_t label = labels[static_cast<std::size_t>(i)];
       std::int64_t runner_up = label == 0 ? 1 : 0;
       for (std::int64_t c = 0; c < classes; ++c) {
         if (c == label) continue;
-        if (logits[i * classes + c] > logits[i * classes + runner_up]) {
+        if (logits_[i * classes + c] > logits_[i * classes + runner_up]) {
           runner_up = c;
         }
       }
       const float margin =
-          logits[i * classes + label] - logits[i * classes + runner_up];
+          logits_[i * classes + label] - logits_[i * classes + runner_up];
       if (margin > -kappa_) {
-        seed[i * classes + label] = 1.0f;
-        seed[i * classes + runner_up] = -1.0f;
+        seed_[i * classes + label] = 1.0f;
+        seed_[i * classes + runner_up] = -1.0f;
       }
     }
-    Tensor grad = model.backward(seed);
+    model.backward_into(seed_, grad_);
 
     // Adam step descending the margin (we minimise z_t - z_runner_up).
     const float bias1 = 1.0f - std::pow(beta1, static_cast<float>(it));
@@ -60,7 +62,7 @@ Tensor CarliniWagner::generate(models::Classifier& model, const Tensor& images,
     float* pm = m.data();
     float* pv = v.data();
     float* pa = adv.data();
-    const float* pg = grad.data();
+    const float* pg = grad_.data();
     for (std::int64_t p = 0; p < adv.numel(); ++p) {
       pm[p] = beta1 * pm[p] + (1.0f - beta1) * pg[p];
       pv[p] = beta2 * pv[p] + (1.0f - beta2) * pg[p] * pg[p];

@@ -25,6 +25,11 @@ class CarliniWagner : public Attack {
   AttackBudget budget_;
   float kappa_;
   float adam_lr_;
+  // Per-iteration temporaries reused across calls (pool-miss-free at steady
+  // state).
+  Tensor logits_;
+  Tensor seed_;
+  Tensor grad_;
 };
 
 }  // namespace zkg::attacks

@@ -4,7 +4,7 @@
 #include <limits>
 
 #include "nn/parameter.hpp"
-#include "tensor/ops.hpp"
+#include "tensor/pool.hpp"
 
 namespace zkg::attacks {
 
@@ -20,6 +20,7 @@ Tensor DeepFool::generate(models::Classifier& model, const Tensor& images,
   const std::int64_t batch = images.dim(0);
   const std::int64_t stride = images.numel() / batch;
   const std::int64_t classes = model.spec().num_classes;
+  check_labels(labels, batch, classes);
 
   Tensor adv = images;
   std::vector<bool> active(static_cast<std::size_t>(batch), true);
@@ -27,18 +28,18 @@ Tensor DeepFool::generate(models::Classifier& model, const Tensor& images,
   // The attack needs only input gradients; parameter gradients stay as the
   // caller left them.
   const nn::InputGradOnly input_grad_only;
+  ensure_shape(seed_, {batch, classes});
+  class_grads_.resize(static_cast<std::size_t>(classes));
   for (std::int64_t it = 0; it < budget_.iterations; ++it) {
-    const Tensor logits = model.forward(adv, /*training=*/false);
+    model.forward_into(adv, logits_, /*training=*/false);
 
     // Per-class input gradients for the whole batch: one backward pass per
     // class with a one-hot seed (valid because layer caches persist until
     // the next forward).
-    std::vector<Tensor> class_grads;
-    class_grads.reserve(static_cast<std::size_t>(classes));
     for (std::int64_t c = 0; c < classes; ++c) {
-      Tensor seed({batch, classes});
-      for (std::int64_t i = 0; i < batch; ++i) seed[i * classes + c] = 1.0f;
-      class_grads.push_back(model.backward(seed));
+      seed_.fill(0.0f);
+      for (std::int64_t i = 0; i < batch; ++i) seed_[i * classes + c] = 1.0f;
+      model.backward_into(seed_, class_grads_[static_cast<std::size_t>(c)]);
     }
 
     bool any_active = false;
@@ -49,7 +50,7 @@ Tensor DeepFool::generate(models::Classifier& model, const Tensor& images,
       // Stop once the example is already misclassified.
       std::int64_t pred = 0;
       for (std::int64_t c = 1; c < classes; ++c) {
-        if (logits[i * classes + c] > logits[i * classes + pred]) pred = c;
+        if (logits_[i * classes + c] > logits_[i * classes + pred]) pred = c;
       }
       if (pred != label) {
         active[static_cast<std::size_t>(i)] = false;
@@ -66,11 +67,11 @@ Tensor DeepFool::generate(models::Classifier& model, const Tensor& images,
       for (std::int64_t k = 0; k < classes; ++k) {
         if (k == label) continue;
         const float fk =
-            logits[i * classes + k] - logits[i * classes + label];
+            logits_[i * classes + k] - logits_[i * classes + label];
         double wnorm2 = 0.0;
-        const float* gk = class_grads[static_cast<std::size_t>(k)].data() +
+        const float* gk = class_grads_[static_cast<std::size_t>(k)].data() +
                           i * stride;
-        const float* gl = class_grads[static_cast<std::size_t>(label)].data() +
+        const float* gl = class_grads_[static_cast<std::size_t>(label)].data() +
                           i * stride;
         for (std::int64_t p = 0; p < stride; ++p) {
           const double w = static_cast<double>(gk[p]) - gl[p];
@@ -92,9 +93,9 @@ Tensor DeepFool::generate(models::Classifier& model, const Tensor& images,
       const float scale = (std::fabs(best_fk) + 1e-4f) /
                           static_cast<float>(best_wnorm2) *
                           (1.0f + overshoot_);
-      const float* gk = class_grads[static_cast<std::size_t>(best_k)].data() +
+      const float* gk = class_grads_[static_cast<std::size_t>(best_k)].data() +
                         i * stride;
-      const float* gl = class_grads[static_cast<std::size_t>(label)].data() +
+      const float* gl = class_grads_[static_cast<std::size_t>(label)].data() +
                         i * stride;
       float* pa = adv.data() + i * stride;
       for (std::int64_t p = 0; p < stride; ++p) {

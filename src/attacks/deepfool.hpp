@@ -24,6 +24,12 @@ class DeepFool : public Attack {
  private:
   AttackBudget budget_;
   float overshoot_;
+  // Per-iteration temporaries reused across calls (pool-miss-free at steady
+  // state): the logits, the one-hot backward seed and one input gradient
+  // per class.
+  Tensor logits_;
+  Tensor seed_;
+  std::vector<Tensor> class_grads_;
 };
 
 }  // namespace zkg::attacks

@@ -13,7 +13,8 @@ GaussianNoise::GaussianNoise(AttackBudget budget, float sigma, Rng& rng)
 Tensor GaussianNoise::generate(models::Classifier& /*model*/,
                                const Tensor& images,
                                const std::vector<std::int64_t>& /*labels*/) {
-  Tensor adv = add(images, randn(images.shape(), rng_, 0.0f, sigma_));
+  Tensor adv = randn(images.shape(), rng_, 0.0f, sigma_);
+  add_(adv, images);
   project_linf_(adv, images,
                 budget_.epsilon > 0.0f ? budget_.epsilon
                                        : 2.0f);  // 2 spans the full range

@@ -47,18 +47,17 @@ void Pgd::generate_into(models::Classifier& model, const Tensor& images,
   run_once(model, images, labels, best);
   if (budget_.restarts == 1) return;
 
-  std::vector<float> best_loss = per_example_loss(model, best, labels);
+  per_example_loss_into(model, best, labels, scratch_, best_loss_);
   const std::int64_t batch = images.dim(0);
   const std::int64_t stride = images.numel() / batch;
   for (std::int64_t r = 1; r < budget_.restarts; ++r) {
     run_once(model, images, labels, candidate_);
-    const std::vector<float> cand_loss =
-        per_example_loss(model, candidate_, labels);
+    per_example_loss_into(model, candidate_, labels, scratch_, cand_loss_);
     for (std::int64_t i = 0; i < batch; ++i) {
-      if (cand_loss[static_cast<std::size_t>(i)] >
-          best_loss[static_cast<std::size_t>(i)]) {
-        best_loss[static_cast<std::size_t>(i)] =
-            cand_loss[static_cast<std::size_t>(i)];
+      if (cand_loss_[static_cast<std::size_t>(i)] >
+          best_loss_[static_cast<std::size_t>(i)]) {
+        best_loss_[static_cast<std::size_t>(i)] =
+            cand_loss_[static_cast<std::size_t>(i)];
         std::copy(candidate_.data() + i * stride,
                   candidate_.data() + (i + 1) * stride,
                   best.data() + i * stride);

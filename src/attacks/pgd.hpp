@@ -29,11 +29,13 @@ class Pgd : public Attack {
 
   AttackBudget budget_;
   Rng rng_;
-  // Per-iteration temporaries reused across calls (single-restart PGD is
-  // allocation-free at steady state).
+  // Per-iteration temporaries reused across calls, so PGD is pool-miss-free
+  // at steady state with any number of restarts.
   GradientScratch scratch_;
   Tensor grad_;
   Tensor candidate_;
+  std::vector<float> best_loss_;
+  std::vector<float> cand_loss_;
 };
 
 }  // namespace zkg::attacks

@@ -52,6 +52,8 @@ void Spsa::generate_into(models::Classifier& model, const Tensor& images,
                          Tensor& adv) {
   const std::int64_t batch = images.dim(0);
   const std::int64_t stride = images.numel() / batch;
+  // margin_loss_into indexes the logits by label.
+  check_labels(labels, batch, model.spec().num_classes);
 
   ensure_shape(adv, images.shape());
   std::copy(images.data(), images.data() + images.numel(), adv.data());

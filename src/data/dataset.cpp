@@ -19,8 +19,13 @@ Tensor Dataset::image(std::int64_t i) const {
 }
 
 Dataset Dataset::subset(const std::vector<std::int64_t>& indices) const {
+  ZKG_CHECK(images.ndim() >= 1) << " subset of a dataset without images";
   Dataset out;
-  out.images = gather_rows(images, indices);
+  // Pre-sized, so the subset takes no buffer from the pool.
+  Shape shape = images.shape();
+  shape[0] = static_cast<std::int64_t>(indices.size());
+  out.images = Tensor(std::move(shape));
+  gather_rows_into(out.images, images, indices);
   out.labels.reserve(indices.size());
   for (const std::int64_t i : indices) {
     out.labels.push_back(labels.at(static_cast<std::size_t>(i)));

@@ -9,8 +9,10 @@
 namespace zkg::data {
 
 Tensor scale_pixels(const Tensor& raw) {
-  // [0, 255] -> [-1, 1]
-  Tensor out = mul(raw, 2.0f / 255.0f);
+  // [0, 255] -> [-1, 1]. Pre-sized, so the dataset-sized result takes no
+  // buffer from the pool.
+  Tensor out(raw.shape());
+  mul_into(out, raw, 2.0f / 255.0f);
   add_(out, -1.0f);
   return out;
 }
@@ -22,7 +24,8 @@ Dataset scale_pixels(const Dataset& raw) {
 }
 
 Tensor unscale_pixels(const Tensor& scaled) {
-  Tensor out = add(scaled, 1.0f);
+  Tensor out(scaled.shape());  // pre-sized: see scale_pixels
+  add_into(out, scaled, 1.0f);
   mul_(out, 255.0f / 2.0f);
   return out;
 }
@@ -40,12 +43,6 @@ TrainTestSplit separate(const Dataset& full, std::int64_t test_count,
   return {full.subset(train_idx), full.subset(test_idx)};
 }
 
-Tensor gaussian_augment(const Tensor& images, Rng& rng, float sigma) {
-  Tensor out;
-  gaussian_augment_into(out, images, rng, sigma);
-  return out;
-}
-
 void gaussian_augment_into(Tensor& out, const Tensor& images, Rng& rng,
                            float sigma) {
   ZKG_CHECK(sigma >= 0.0f) << " sigma " << sigma;
@@ -60,7 +57,9 @@ void gaussian_augment_into(Tensor& out, const Tensor& images, Rng& rng,
 }
 
 Tensor project_valid(const Tensor& images) {
-  return clamp(images, kPixelMin, kPixelMax);
+  Tensor out(images.shape());  // pre-sized: see scale_pixels
+  clamp_into(out, images, kPixelMin, kPixelMax);
+  return out;
 }
 
 }  // namespace zkg::data

@@ -28,11 +28,8 @@ struct TrainTestSplit {
 TrainTestSplit separate(const Dataset& full, std::int64_t test_count, Rng& rng);
 
 /// Augmentation: adds i.i.d. Gaussian noise N(0, sigma^2) and re-projects
-/// into [-1, 1]. The paper (following Kannan et al.) uses mu=0, sigma=1.
-Tensor gaussian_augment(const Tensor& images, Rng& rng, float sigma = 1.0f);
-
-/// As above, but writes into a caller-provided (reusable) tensor. Consumes
-/// the same rng stream and is bit-identical to the value form.
+/// into [-1, 1], writing into a caller-provided (reusable) tensor. The paper
+/// (following Kannan et al.) uses mu=0, sigma=1.
 void gaussian_augment_into(Tensor& out, const Tensor& images, Rng& rng,
                            float sigma = 1.0f);
 

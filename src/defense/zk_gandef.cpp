@@ -68,7 +68,7 @@ float GanDefTrainerBase::update_discriminator(const Tensor& class_logits,
   discriminator_.zero_grad();
 
   // Diagnostic accuracy of the source predictions (same sigmoid formula as
-  // nn::sigmoid, computed pointwise to avoid a probability buffer).
+  // nn::sigmoid_into, computed pointwise to avoid a probability buffer).
   std::int64_t correct = 0;
   for (std::int64_t i = 0; i < d_logits_.numel(); ++i) {
     const float prob = 1.0f / (1.0f + std::exp(-d_logits_[i]));

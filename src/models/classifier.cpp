@@ -9,12 +9,6 @@ Classifier::Classifier(std::string name, InputSpec spec, nn::Sequential net)
       << " bad InputSpec for classifier " << name_;
 }
 
-Tensor Classifier::forward(const Tensor& images, bool training) {
-  Tensor logits;
-  forward_into(images, logits, training);
-  return logits;
-}
-
 void Classifier::forward_into(const Tensor& images, Tensor& logits,
                               bool training) {
   ZKG_CHECK(images.ndim() == 4 && images.dim(1) == spec_.channels &&
@@ -27,10 +21,6 @@ void Classifier::forward_into(const Tensor& images, Tensor& logits,
       << " classifier " << name_ << " produced "
       << shape_to_string(logits.shape()) << ", expected [B, "
       << spec_.num_classes << "]";
-}
-
-Tensor Classifier::backward(const Tensor& grad_logits) {
-  return net_.backward(grad_logits);
 }
 
 void Classifier::backward_into(const Tensor& grad_logits,

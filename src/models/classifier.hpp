@@ -34,13 +34,11 @@ class Classifier {
   Classifier(Classifier&&) = default;
   Classifier& operator=(Classifier&&) = default;
 
-  /// Pre-softmax logits [B, num_classes] for images [B, C, H, W].
-  Tensor forward(const Tensor& images, bool training);
-  /// Same, writing into a caller-provided (reusable) tensor.
+  /// Pre-softmax logits [B, num_classes] for images [B, C, H, W], written
+  /// into a caller-provided (reusable) tensor.
   void forward_into(const Tensor& images, Tensor& logits, bool training);
 
-  /// Back-propagates a logit gradient; returns the image gradient.
-  Tensor backward(const Tensor& grad_logits);
+  /// Back-propagates a logit gradient into the image gradient.
   void backward_into(const Tensor& grad_logits, Tensor& grad_images);
 
   std::vector<nn::Parameter*> parameters() { return net_.parameters(); }

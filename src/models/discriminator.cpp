@@ -20,12 +20,6 @@ Discriminator::Discriminator(std::int64_t num_classes, Rng& rng)
   net_.emplace<nn::Dense>(32, 1, rng);
 }
 
-Tensor Discriminator::forward(const Tensor& class_logits, bool training) {
-  Tensor out;
-  forward_into(class_logits, out, training);
-  return out;
-}
-
 void Discriminator::forward_into(const Tensor& class_logits, Tensor& out,
                                  bool training) {
   ZKG_CHECK(class_logits.ndim() == 2 && class_logits.dim(1) == num_classes_)
@@ -34,19 +28,9 @@ void Discriminator::forward_into(const Tensor& class_logits, Tensor& out,
   net_.forward_into(class_logits, out, training);
 }
 
-Tensor Discriminator::backward(const Tensor& grad_output) {
-  return net_.backward(grad_output);
-}
-
 void Discriminator::backward_into(const Tensor& grad_output,
                                   Tensor& grad_logits) {
   net_.backward_into(grad_output, grad_logits);
-}
-
-Tensor Discriminator::probability(const Tensor& class_logits) {
-  Tensor out;
-  probability_into(class_logits, out);
-  return out;
 }
 
 void Discriminator::probability_into(const Tensor& class_logits, Tensor& out) {

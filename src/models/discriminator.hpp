@@ -3,7 +3,7 @@
 // was clean or perturbed. The structure is dataset-independent.
 //
 // Table II ends with a Sigmoid; we keep the final Dense output as a raw
-// logit and pair it with bce_with_logits, which is the numerically stable
+// logit and pair it with bce_with_logits_into, the numerically stable
 // formulation of exactly the same model.
 #pragma once
 
@@ -21,16 +21,13 @@ class Discriminator {
   Discriminator& operator=(Discriminator&&) = default;
 
   /// Raw source logit [B, 1] for classifier logits [B, num_classes].
-  Tensor forward(const Tensor& class_logits, bool training);
   void forward_into(const Tensor& class_logits, Tensor& out, bool training);
 
   /// Back-propagates to the classifier logits (the GAN coupling path).
-  Tensor backward(const Tensor& grad_output);
   void backward_into(const Tensor& grad_output, Tensor& grad_logits);
 
-  /// P(input was perturbed) in [0, 1], shape [B, 1]. Inference only.
-  Tensor probability(const Tensor& class_logits);
-  /// Same, writing into pooled caller scratch (steady-state free).
+  /// P(input was perturbed) in [0, 1], shape [B, 1], written into pooled
+  /// caller scratch (steady-state free). Inference only.
   void probability_into(const Tensor& class_logits, Tensor& out);
 
   std::vector<nn::Parameter*> parameters() { return net_.parameters(); }

@@ -74,12 +74,6 @@ void im2col_into(Tensor& cols, const Tensor& input, const Conv2dConfig& cfg) {
   });
 }
 
-Tensor im2col(const Tensor& input, const Conv2dConfig& cfg) {
-  Tensor cols;
-  im2col_into(cols, input, cfg);
-  return cols;
-}
-
 void col2im_into(Tensor& image, const Tensor& cols, const Shape& input_shape,
                  const Conv2dConfig& cfg) {
   check_config(cfg);
@@ -128,13 +122,6 @@ void col2im_into(Tensor& image, const Tensor& cols, const Shape& input_shape,
       }
     }
   });
-}
-
-Tensor col2im(const Tensor& cols, const Shape& input_shape,
-              const Conv2dConfig& cfg) {
-  Tensor image;
-  col2im_into(image, cols, input_shape, cfg);
-  return image;
 }
 
 Conv2d::Conv2d(Conv2dConfig cfg, Rng& rng)

@@ -15,12 +15,9 @@ struct Conv2dConfig {
 };
 
 /// Lowers `input` [B,C,H,W] into patch-matrix [B*OH*OW, C*K*K].
-Tensor im2col(const Tensor& input, const Conv2dConfig& cfg);
 void im2col_into(Tensor& cols, const Tensor& input, const Conv2dConfig& cfg);
 
 /// Adjoint of im2col: scatters `cols` back into an image-shaped gradient.
-Tensor col2im(const Tensor& cols, const Shape& input_shape,
-              const Conv2dConfig& cfg);
 void col2im_into(Tensor& image, const Tensor& cols, const Shape& input_shape,
                  const Conv2dConfig& cfg);
 

@@ -34,13 +34,6 @@ float softmax_cross_entropy_into(const Tensor& logits,
   return static_cast<float>(total / static_cast<double>(batch));
 }
 
-LossResult softmax_cross_entropy(const Tensor& logits,
-                                 const std::vector<std::int64_t>& labels) {
-  LossResult result;
-  result.value = softmax_cross_entropy_into(logits, labels, result.grad);
-  return result;
-}
-
 float bce_with_logits_into(const Tensor& logits, const Tensor& targets,
                            Tensor& grad) {
   check_same_shape(logits, targets, "bce_with_logits");
@@ -63,18 +56,6 @@ float bce_with_logits_into(const Tensor& logits, const Tensor& targets,
   return static_cast<float>(total / static_cast<double>(n));
 }
 
-LossResult bce_with_logits(const Tensor& logits, const Tensor& targets) {
-  LossResult result;
-  result.value = bce_with_logits_into(logits, targets, result.grad);
-  return result;
-}
-
-Tensor sigmoid(const Tensor& logits) {
-  Tensor out(logits.shape());
-  sigmoid_into(out, logits);
-  return out;
-}
-
 void sigmoid_into(Tensor& out, const Tensor& logits) {
   ensure_shape(out, logits.shape());
   const float* z = logits.data();
@@ -92,7 +73,8 @@ PairPenaltyResult clean_logit_pairing(const Tensor& logits_a,
   ZKG_REQUIRE(batch > 0) << " empty batch";
 
   PairPenaltyResult result;
-  const Tensor diff = sub(logits_a, logits_b);
+  Tensor diff(logits_a.shape());  // pre-sized: no pool buffer taken
+  sub_into(diff, logits_a, logits_b);
   const std::int64_t cols = diff.dim(1);
   result.grad_a = Tensor(diff.shape());
   result.grad_b = Tensor(diff.shape());
@@ -139,12 +121,6 @@ float clean_logit_squeezing_into(const Tensor& logits, float lambda,
     }
   }
   return lambda * static_cast<float>(total) / static_cast<float>(batch);
-}
-
-LossResult clean_logit_squeezing(const Tensor& logits, float lambda) {
-  LossResult result;
-  result.value = clean_logit_squeezing_into(logits, lambda, result.grad);
-  return result;
 }
 
 }  // namespace zkg::nn

@@ -1,5 +1,7 @@
-// Loss functions. Each returns the scalar loss and the gradient with respect
-// to the logits so trainers can seed backpropagation directly.
+// Loss functions. Each returns the scalar loss and writes the gradient with
+// respect to the logits into a caller-provided (reusable) tensor, so
+// trainers can seed backpropagation directly. The CLP pair penalty returns
+// both of its gradients in a PairPenaltyResult.
 //
 // Includes the CLP / CLS logit penalties of Kannan et al. ("Adversarial
 // Logit Pairing", 2018), which the paper evaluates as the zero-knowledge
@@ -13,30 +15,18 @@
 
 namespace zkg::nn {
 
-struct LossResult {
-  float value = 0.0f;  // mean loss over the batch
-  Tensor grad;         // d(loss)/d(logits), same shape as the logits
-};
-
 /// Mean softmax cross-entropy over integer class labels.
 /// logits: [B, C]; labels: B entries in [0, C).
-LossResult softmax_cross_entropy(const Tensor& logits,
-                                 const std::vector<std::int64_t>& labels);
-
-/// As above, but writes the gradient into a caller-provided (reusable)
-/// tensor and returns the scalar loss. Bit-identical to the struct form.
 float softmax_cross_entropy_into(const Tensor& logits,
                                  const std::vector<std::int64_t>& labels,
                                  Tensor& grad);
 
 /// Mean binary cross-entropy on raw logits (numerically stable formulation:
 /// max(z,0) - z*t + log(1 + exp(-|z|))). logits/targets: [B] or [B, 1].
-LossResult bce_with_logits(const Tensor& logits, const Tensor& targets);
 float bce_with_logits_into(const Tensor& logits, const Tensor& targets,
                            Tensor& grad);
 
 /// Element-wise sigmoid (probability view of a discriminator's raw logits).
-Tensor sigmoid(const Tensor& logits);
 void sigmoid_into(Tensor& out, const Tensor& logits);
 
 struct PairPenaltyResult {
@@ -53,7 +43,6 @@ PairPenaltyResult clean_logit_pairing(const Tensor& logits_a,
                                       const Tensor& logits_b, float lambda);
 
 /// CLS penalty: lambda * mean_i ||z(i)||_2^2.
-LossResult clean_logit_squeezing(const Tensor& logits, float lambda);
 float clean_logit_squeezing_into(const Tensor& logits, float lambda,
                                  Tensor& grad);
 

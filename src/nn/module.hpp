@@ -9,11 +9,9 @@
 // skip the parameter-gradient work and leave every Parameter::grad()
 // untouched; the input gradient is bit-identical either way.
 //
-// The _into forms are the primary interface: they write into caller-provided
+// The _into forms are the only interface: they write into caller-provided
 // destination tensors resized via ensure_shape(), so a layer driven with the
-// same destinations every step runs allocation-free at steady state. The
-// value-returning forward()/backward() wrappers are kept for convenience and
-// produce bit-identical results.
+// same destinations every step runs allocation-free at steady state.
 //
 // Contract: backward_into(g, ...) must follow the forward_into(x, ...) whose
 // activations it differentiates. Sequential enforces this ordering for whole
@@ -45,18 +43,6 @@ class Module {
   /// w.r.t. this layer's input into `grad_input`.
   virtual void backward_into(const Tensor& grad_output,
                              Tensor& grad_input) = 0;
-
-  /// Value-returning convenience wrappers; bit-identical to the _into forms.
-  Tensor forward(const Tensor& input, bool training) {
-    Tensor out;
-    forward_into(input, out, training);
-    return out;
-  }
-  Tensor backward(const Tensor& grad_output) {
-    Tensor grad_input;
-    backward_into(grad_output, grad_input);
-    return grad_input;
-  }
 
   /// Trainable parameters owned by this layer (empty for stateless layers).
   virtual std::vector<Parameter*> parameters() { return {}; }

@@ -18,9 +18,9 @@
 //
 // Elementwise/activation kernels are straightforward 8-lane loops chosen
 // to match the scalar backend's arithmetic exactly (one rounding per
-// element, no reassociation): add/sub/mul/div, axpy, the fused
+// element, no reassociation): add/sub/mul, axpy, the fused
 // sign-ascent step, clamp and the ReLU family are bit-identical to
-// scalar; matvec, softmax and GEMM agree within tolerance.
+// scalar; softmax and GEMM agree within tolerance.
 //
 // This file is the only one allowed to touch <immintrin.h> outside
 // tools/analyze.py's simd-outside-backend allowlist. It compiles with
@@ -220,48 +220,6 @@ void matmul_tn(float* c, const float* a, const float* b, std::int64_t m,
                /*b_cj=*/1);
 }
 
-float hsum8(__m256 v) {
-  const __m128 lo = _mm256_castps256_ps128(v);
-  const __m128 hi = _mm256_extractf128_ps(v, 1);
-  __m128 s = _mm_add_ps(lo, hi);
-  s = _mm_hadd_ps(s, s);
-  s = _mm_hadd_ps(s, s);
-  return _mm_cvtss_f32(s);
-}
-
-void matvec(float* y, const float* a, const float* x, std::int64_t m,
-            std::int64_t n) {
-  parallel_for(m, parallel_grain(2 * n),
-               [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      const float* arow = a + i * n;
-      __m256 acc0 = _mm256_setzero_ps();
-      __m256 acc1 = _mm256_setzero_ps();
-      __m256 acc2 = _mm256_setzero_ps();
-      __m256 acc3 = _mm256_setzero_ps();
-      std::int64_t j = 0;
-      for (; j + 32 <= n; j += 32) {
-        acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(arow + j),
-                               _mm256_loadu_ps(x + j), acc0);
-        acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(arow + j + 8),
-                               _mm256_loadu_ps(x + j + 8), acc1);
-        acc2 = _mm256_fmadd_ps(_mm256_loadu_ps(arow + j + 16),
-                               _mm256_loadu_ps(x + j + 16), acc2);
-        acc3 = _mm256_fmadd_ps(_mm256_loadu_ps(arow + j + 24),
-                               _mm256_loadu_ps(x + j + 24), acc3);
-      }
-      for (; j + 8 <= n; j += 8) {
-        acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(arow + j),
-                               _mm256_loadu_ps(x + j), acc0);
-      }
-      float total = hsum8(_mm256_add_ps(_mm256_add_ps(acc0, acc1),
-                                        _mm256_add_ps(acc2, acc3)));
-      for (; j < n; ++j) total += arow[j] * x[j];
-      y[i] = total;
-    }
-  });
-}
-
 void add_row_bias(float* a, const float* bias, std::int64_t m,
                   std::int64_t n) {
   parallel_for(m, parallel_grain(n), [&](std::int64_t i0, std::int64_t i1) {
@@ -304,14 +262,6 @@ void mul(float* out, const float* a, const float* b, std::int64_t n) {
         out + i, _mm256_mul_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i)));
   }
   for (; i < n; ++i) out[i] = a[i] * b[i];
-}
-void div(float* out, const float* a, const float* b, std::int64_t n) {
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(
-        out + i, _mm256_div_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i)));
-  }
-  for (; i < n; ++i) out[i] = a[i] / b[i];
 }
 void add_scalar(float* out, const float* a, float s, std::int64_t n) {
   const __m256 vs = _mm256_set1_ps(s);
@@ -464,16 +414,13 @@ const KernelBackend* avx2_backend_if_supported() {
       matmul,
       matmul_nt,
       matmul_tn,
-      matvec,
-      // Transpose and column-sum gain nothing from hand vectorisation
-      // (both are load/store bound); share the scalar blocked kernels.
-      scalar::transpose2d,
+      // Column-sum gains nothing from hand vectorisation (it is load/store
+      // bound); share the scalar blocked kernel.
       scalar::col_sum,
       add_row_bias,
       add,
       sub,
       mul,
-      div,
       add_scalar,
       mul_scalar,
       axpy,

@@ -47,12 +47,6 @@ struct KernelBackend {
   /// C[m,n] = A[k,m]^T * B[k,n].
   void (*matmul_tn)(float* c, const float* a, const float* b, std::int64_t m,
                     std::int64_t k, std::int64_t n);
-  /// y[m] = A[m,n] * x[n].
-  void (*matvec)(float* y, const float* a, const float* x, std::int64_t m,
-                 std::int64_t n);
-  /// out[n,m] = A[m,n]^T.
-  void (*transpose2d)(float* out, const float* a, std::int64_t m,
-                      std::int64_t n);
   /// out[n] = sum over rows of A[m,n].
   void (*col_sum)(float* out, const float* a, std::int64_t m, std::int64_t n);
   /// A[m,n] += bias[n] per row (in place).
@@ -65,7 +59,6 @@ struct KernelBackend {
   void (*add)(float* out, const float* a, const float* b, std::int64_t n);
   void (*sub)(float* out, const float* a, const float* b, std::int64_t n);
   void (*mul)(float* out, const float* a, const float* b, std::int64_t n);
-  void (*div)(float* out, const float* a, const float* b, std::int64_t n);
   /// out = a + s.
   void (*add_scalar)(float* out, const float* a, float s, std::int64_t n);
   /// out = a * s.

@@ -107,33 +107,6 @@ void matmul_tn(float* c, const float* a, const float* b, std::int64_t m,
   });
 }
 
-void matvec(float* y, const float* a, const float* x, std::int64_t m,
-            std::int64_t n) {
-  parallel_for(m, parallel_grain(2 * n), [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      double acc = 0.0;
-      for (std::int64_t j = 0; j < n; ++j) {
-        acc += static_cast<double>(a[i * n + j]) * x[j];
-      }
-      y[i] = static_cast<float>(acc);
-    }
-  });
-}
-
-void transpose2d(float* out, const float* a, std::int64_t m, std::int64_t n) {
-  // 64x64 tiles keep both the row-major reads and column-major writes
-  // within a few cache lines per iteration.
-  constexpr std::int64_t kTile = 64;
-  parallel_for(m, parallel_grain(n), [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t jb = 0; jb < n; jb += kTile) {
-      const std::int64_t je = std::min(jb + kTile, n);
-      for (std::int64_t i = i0; i < i1; ++i) {
-        for (std::int64_t j = jb; j < je; ++j) out[j * m + i] = a[i * n + j];
-      }
-    }
-  });
-}
-
 void col_sum(float* out, const float* a, std::int64_t m, std::int64_t n) {
   std::fill(out, out + n, 0.0f);  // accumulates row by row
   // Partition over columns: each chunk owns out[j0, j1) so the row-wise
@@ -163,9 +136,6 @@ void sub(float* out, const float* a, const float* b, std::int64_t n) {
 }
 void mul(float* out, const float* a, const float* b, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
-}
-void div(float* out, const float* a, const float* b, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) out[i] = a[i] / b[i];
 }
 void add_scalar(float* out, const float* a, float s, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) out[i] = a[i] + s;
@@ -238,14 +208,11 @@ const KernelBackend& scalar_backend() {
       scalar::matmul,
       scalar::matmul_nt,
       scalar::matmul_tn,
-      scalar::matvec,
-      scalar::transpose2d,
       scalar::col_sum,
       scalar::add_row_bias,
       scalar::add,
       scalar::sub,
       scalar::mul,
-      scalar::div,
       scalar::add_scalar,
       scalar::mul_scalar,
       scalar::axpy,

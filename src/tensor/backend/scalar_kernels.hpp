@@ -4,7 +4,7 @@
 // (cache-blocked, parallelised over zkg::parallel_for, deterministic).
 // scalar.cpp assembles them into the scalar KernelBackend table; the AVX2
 // backend reuses the ones where explicit vectorization buys nothing
-// (transpose2d) or where determinism demands the double-accumulator form.
+// (col_sum) or where determinism demands the double-accumulator form.
 #pragma once
 
 #include <cstdint>
@@ -17,9 +17,6 @@ void matmul_nt(float* c, const float* a, const float* b, std::int64_t m,
                std::int64_t k, std::int64_t n);
 void matmul_tn(float* c, const float* a, const float* b, std::int64_t m,
                std::int64_t k, std::int64_t n);
-void matvec(float* y, const float* a, const float* x, std::int64_t m,
-            std::int64_t n);
-void transpose2d(float* out, const float* a, std::int64_t m, std::int64_t n);
 void col_sum(float* out, const float* a, std::int64_t m, std::int64_t n);
 void add_row_bias(float* a, const float* bias, std::int64_t m,
                   std::int64_t n);
@@ -27,7 +24,6 @@ void add_row_bias(float* a, const float* bias, std::int64_t m,
 void add(float* out, const float* a, const float* b, std::int64_t n);
 void sub(float* out, const float* a, const float* b, std::int64_t n);
 void mul(float* out, const float* a, const float* b, std::int64_t n);
-void div(float* out, const float* a, const float* b, std::int64_t n);
 void add_scalar(float* out, const float* a, float s, std::int64_t n);
 void mul_scalar(float* out, const float* a, float s, std::int64_t n);
 void axpy(float* y, float alpha, const float* x, std::int64_t n);

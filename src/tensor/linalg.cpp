@@ -26,12 +26,6 @@ void matmul_into(Tensor& c, const Tensor& a, const Tensor& b) {
   backend::active().matmul(c.data(), a.data(), b.data(), m, k, n);
 }
 
-Tensor matmul(const Tensor& a, const Tensor& b) {
-  Tensor c;
-  matmul_into(c, a, b);
-  return c;
-}
-
 void matmul_nt_into(Tensor& c, const Tensor& a, const Tensor& b) {
   ZKG_REQUIRE_RANK(a, 2, "matmul_nt");
   ZKG_REQUIRE_RANK(b, 2, "matmul_nt");
@@ -45,12 +39,6 @@ void matmul_nt_into(Tensor& c, const Tensor& a, const Tensor& b) {
   ZKG_REQUIRE_NOT_ALIASED(c, b, "matmul_nt_into");
   ensure_shape(c, {m, n});
   backend::active().matmul_nt(c.data(), a.data(), b.data(), m, k, n);
-}
-
-Tensor matmul_nt(const Tensor& a, const Tensor& b) {
-  Tensor c;
-  matmul_nt_into(c, a, b);
-  return c;
 }
 
 void matmul_tn_into(Tensor& c, const Tensor& a, const Tensor& b) {
@@ -68,46 +56,6 @@ void matmul_tn_into(Tensor& c, const Tensor& a, const Tensor& b) {
   backend::active().matmul_tn(c.data(), a.data(), b.data(), m, k, n);
 }
 
-Tensor matmul_tn(const Tensor& a, const Tensor& b) {
-  Tensor c;
-  matmul_tn_into(c, a, b);
-  return c;
-}
-
-void transpose2d_into(Tensor& out, const Tensor& a) {
-  ZKG_REQUIRE_RANK(a, 2, "transpose2d");
-  ZKG_REQUIRE_NOT_ALIASED(out, a, "transpose2d_into");
-  const std::int64_t m = a.dim(0);
-  const std::int64_t n = a.dim(1);
-  ensure_shape(out, {n, m});
-  backend::active().transpose2d(out.data(), a.data(), m, n);
-}
-
-Tensor transpose2d(const Tensor& a) {
-  Tensor out;
-  transpose2d_into(out, a);
-  return out;
-}
-
-void matvec_into(Tensor& y, const Tensor& a, const Tensor& x) {
-  ZKG_REQUIRE_RANK(a, 2, "matvec");
-  ZKG_REQUIRE(x.ndim() == 1 && x.dim(0) == a.dim(1))
-      << " matvec shapes: " << shape_to_string(a.shape()) << " x "
-      << shape_to_string(x.shape());
-  ZKG_REQUIRE_NOT_ALIASED(y, a, "matvec_into");
-  ZKG_REQUIRE_NOT_ALIASED(y, x, "matvec_into");
-  const std::int64_t m = a.dim(0);
-  const std::int64_t n = a.dim(1);
-  ensure_shape(y, {m});
-  backend::active().matvec(y.data(), a.data(), x.data(), m, n);
-}
-
-Tensor matvec(const Tensor& a, const Tensor& x) {
-  Tensor y;
-  matvec_into(y, a, x);
-  return y;
-}
-
 void add_row_bias_(Tensor& a, const Tensor& bias) {
   ZKG_REQUIRE_RANK(a, 2, "add_row_bias_");
   ZKG_REQUIRE(bias.ndim() == 1 && bias.dim(0) == a.dim(1))
@@ -123,12 +71,6 @@ void col_sum_into(Tensor& out, const Tensor& a) {
   const std::int64_t n = a.dim(1);
   ensure_shape(out, {n});
   backend::active().col_sum(out.data(), a.data(), m, n);
-}
-
-Tensor col_sum(const Tensor& a) {
-  Tensor out;
-  col_sum_into(out, a);
-  return out;
 }
 
 }  // namespace zkg

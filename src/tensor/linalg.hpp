@@ -3,11 +3,9 @@
 // is cache-blocked and runs on zkg::parallel_for (common/parallel.hpp),
 // so parallelism is identical whichever backend the build selected.
 //
-// Each kernel comes in two forms: a value-returning convenience form and an
-// `_into` form that writes into a caller-provided destination (resized via
+// Each kernel writes into a caller-provided destination (resized via
 // ensure_shape, so repeated calls with stable shapes never allocate). The
-// destination must not alias an input; results are bit-identical between
-// the two forms.
+// destination must not alias an input.
 #pragma once
 
 #include "tensor/tensor.hpp"
@@ -15,30 +13,18 @@
 namespace zkg {
 
 /// C = A[m,k] * B[k,n].
-Tensor matmul(const Tensor& a, const Tensor& b);
 void matmul_into(Tensor& c, const Tensor& a, const Tensor& b);
 
 /// C = A[m,k] * B[n,k]^T  (i.e. result [m,n]); avoids materialising B^T.
-Tensor matmul_nt(const Tensor& a, const Tensor& b);
 void matmul_nt_into(Tensor& c, const Tensor& a, const Tensor& b);
 
 /// C = A[k,m]^T * B[k,n]  (i.e. result [m,n]); avoids materialising A^T.
-Tensor matmul_tn(const Tensor& a, const Tensor& b);
 void matmul_tn_into(Tensor& c, const Tensor& a, const Tensor& b);
-
-/// Out-of-place 2-D transpose.
-Tensor transpose2d(const Tensor& a);
-void transpose2d_into(Tensor& out, const Tensor& a);
-
-/// y = A[m,n] * x[n] -> [m].
-Tensor matvec(const Tensor& a, const Tensor& x);
-void matvec_into(Tensor& y, const Tensor& a, const Tensor& x);
 
 /// Adds `bias`[n] to every row of `a`[m,n] in place.
 void add_row_bias_(Tensor& a, const Tensor& bias);
 
 /// Sums `a`[m,n] over rows -> [n] (gradient of add_row_bias_).
-Tensor col_sum(const Tensor& a);
 void col_sum_into(Tensor& out, const Tensor& a);
 
 }  // namespace zkg

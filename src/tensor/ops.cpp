@@ -10,11 +10,11 @@
 namespace zkg {
 namespace {
 
-// The hot binary/scalar/activation kernels dispatch through the active
-// kernel backend (tensor/backend/backend.hpp); backend elementwise kernels
+// The binary/scalar/clamp kernels dispatch through the active kernel
+// backend (tensor/backend/backend.hpp); backend elementwise kernels
 // tolerate out aliasing either input, which the in-place forms rely on.
-// Cold transcendental and reduction ops below keep plain loops — they are
-// not in any training hot path and gain nothing from SIMD dispatch.
+// Reductions below keep plain loops — they are not in any training hot
+// path and gain nothing from SIMD dispatch.
 using BinaryKernel = void (*)(float*, const float*, const float*,
                               std::int64_t);
 
@@ -26,56 +26,11 @@ void binary_dispatch_into(Tensor& out, const Tensor& a, const Tensor& b,
   (backend::active().*kernel)(out.data(), a.data(), b.data(), a.numel());
 }
 
-// Element-wise unary into `out`. Safe when out aliases a (same index on
-// both sides), so the value forms reuse it without an aliasing contract.
-template <typename F>
-void unary_op_into(Tensor& out, const Tensor& a, F f) {
-  ensure_shape(out, a.shape());
-  const float* pa = a.data();
-  float* po = out.data();
-  const std::int64_t n = a.numel();
-  for (std::int64_t i = 0; i < n; ++i) po[i] = f(pa[i]);
-}
-
-template <typename F>
-Tensor unary_op(const Tensor& a, F f) {
-  Tensor out(a.shape());  // pre-sized: see add
-  unary_op_into(out, a, f);
-  return out;
-}
-
 }  // namespace
 
-Tensor add(const Tensor& a, const Tensor& b) {
-  // Pre-sized so the _into path's ensure_shape is a no-op: value forms
-  // allocate plainly instead of borrowing from (and never repaying) the
-  // buffer pool.
-  Tensor out(a.shape());
-  binary_dispatch_into(out, a, b, "add", &backend::KernelBackend::add);
-  return out;
-}
-Tensor sub(const Tensor& a, const Tensor& b) {
-  Tensor out(a.shape());  // pre-sized: see add
-  binary_dispatch_into(out, a, b, "sub", &backend::KernelBackend::sub);
-  return out;
-}
-Tensor mul(const Tensor& a, const Tensor& b) {
-  Tensor out(a.shape());  // pre-sized: see add
-  binary_dispatch_into(out, a, b, "mul", &backend::KernelBackend::mul);
-  return out;
-}
-Tensor div(const Tensor& a, const Tensor& b) {
-  Tensor out(a.shape());  // pre-sized: see add
-  binary_dispatch_into(out, a, b, "div", &backend::KernelBackend::div);
-  return out;
-}
 void add_(Tensor& a, const Tensor& b) {
   ZKG_REQUIRE_SAME_SHAPE(a, b, "add_");
   backend::active().add(a.data(), a.data(), b.data(), a.numel());
-}
-void sub_(Tensor& a, const Tensor& b) {
-  ZKG_REQUIRE_SAME_SHAPE(a, b, "sub_");
-  backend::active().sub(a.data(), a.data(), b.data(), a.numel());
 }
 void mul_(Tensor& a, const Tensor& b) {
   ZKG_REQUIRE_SAME_SHAPE(a, b, "mul_");
@@ -91,20 +46,7 @@ void sub_into(Tensor& out, const Tensor& a, const Tensor& b) {
 void mul_into(Tensor& out, const Tensor& a, const Tensor& b) {
   binary_dispatch_into(out, a, b, "mul_into", &backend::KernelBackend::mul);
 }
-void div_into(Tensor& out, const Tensor& a, const Tensor& b) {
-  binary_dispatch_into(out, a, b, "div_into", &backend::KernelBackend::div);
-}
 
-Tensor add(const Tensor& a, float s) {
-  Tensor out(a.shape());  // pre-sized: see add
-  backend::active().add_scalar(out.data(), a.data(), s, a.numel());
-  return out;
-}
-Tensor mul(const Tensor& a, float s) {
-  Tensor out(a.shape());  // pre-sized: see add
-  backend::active().mul_scalar(out.data(), a.data(), s, a.numel());
-  return out;
-}
 void add_(Tensor& a, float s) {
   backend::active().add_scalar(a.data(), a.data(), s, a.numel());
 }
@@ -128,79 +70,18 @@ void axpy_(Tensor& y, float alpha, const Tensor& x) {
 void add_scaled_sign_(Tensor& y, float alpha, const Tensor& x) {
   ZKG_REQUIRE_SAME_SHAPE(y, x, "add_scaled_sign_");
   // Every backend computes alpha * (+-1.0f | 0.0f) exactly, so this stays
-  // bit-identical to axpy_(y, alpha, sign(x)).
+  // bit-identical to an axpy_ of the materialised sign tensor.
   backend::active().add_scaled_sign(y.data(), alpha, x.data(), y.numel());
 }
 
-Tensor neg(const Tensor& a) {
-  return unary_op(a, [](float x) { return -x; });
-}
-Tensor abs(const Tensor& a) {
-  return unary_op(a, [](float x) { return std::fabs(x); });
-}
-Tensor sign(const Tensor& a) {
-  return unary_op(a, [](float x) {
-    if (x > 0.0f) return 1.0f;
-    if (x < 0.0f) return -1.0f;
-    return 0.0f;
-  });
-}
-void sign_(Tensor& a) {
-  float* pa = a.data();
-  for (std::int64_t i = 0; i < a.numel(); ++i) {
-    pa[i] = pa[i] > 0.0f ? 1.0f : (pa[i] < 0.0f ? -1.0f : 0.0f);
-  }
-}
-Tensor clamp(const Tensor& a, float lo, float hi) {
-  Tensor out(a.shape());  // pre-sized: see add
-  clamp_into(out, a, lo, hi);
-  return out;
-}
 void clamp_(Tensor& a, float lo, float hi) {
   ZKG_REQUIRE(lo <= hi) << " clamp bounds inverted: " << lo << " > " << hi;
   backend::active().clamp(a.data(), a.data(), lo, hi, a.numel());
-}
-Tensor exp(const Tensor& a) {
-  return unary_op(a, [](float x) { return std::exp(x); });
-}
-Tensor log(const Tensor& a) {
-  return unary_op(a, [](float x) { return std::log(x); });
-}
-Tensor sqrt(const Tensor& a) {
-  return unary_op(a, [](float x) { return std::sqrt(x); });
-}
-Tensor square(const Tensor& a) {
-  return unary_op(a, [](float x) { return x * x; });
-}
-void neg_into(Tensor& out, const Tensor& a) {
-  unary_op_into(out, a, [](float x) { return -x; });
-}
-void abs_into(Tensor& out, const Tensor& a) {
-  unary_op_into(out, a, [](float x) { return std::fabs(x); });
-}
-void sign_into(Tensor& out, const Tensor& a) {
-  unary_op_into(out, a, [](float x) {
-    if (x > 0.0f) return 1.0f;
-    if (x < 0.0f) return -1.0f;
-    return 0.0f;
-  });
 }
 void clamp_into(Tensor& out, const Tensor& a, float lo, float hi) {
   ZKG_REQUIRE(lo <= hi) << " clamp bounds inverted: " << lo << " > " << hi;
   ensure_shape(out, a.shape());
   backend::active().clamp(out.data(), a.data(), lo, hi, a.numel());
-}
-void exp_into(Tensor& out, const Tensor& a) {
-  unary_op_into(out, a, [](float x) { return std::exp(x); });
-}
-void log_into(Tensor& out, const Tensor& a) {
-  unary_op_into(out, a, [](float x) { return std::log(x); });
-}
-void sqrt_into(Tensor& out, const Tensor& a) {
-  unary_op_into(out, a, [](float x) { return std::sqrt(x); });
-}
-void square_into(Tensor& out, const Tensor& a) {
-  unary_op_into(out, a, [](float x) { return x * x; });
 }
 
 float sum(const Tensor& a) {
@@ -254,55 +135,6 @@ float dot(const Tensor& a, const Tensor& b) {
   return static_cast<float>(total);
 }
 
-void row_sum_into(Tensor& out, const Tensor& a) {
-  ZKG_REQUIRE_RANK(a, 2, "row_sum");
-  ZKG_REQUIRE_NOT_ALIASED(out, a, "row_sum_into");
-  const std::int64_t rows = a.dim(0);
-  const std::int64_t cols = a.dim(1);
-  ensure_shape(out, {rows});
-  for (std::int64_t r = 0; r < rows; ++r) {
-    double total = 0.0;
-    for (std::int64_t c = 0; c < cols; ++c) total += a[r * cols + c];
-    out[r] = static_cast<float>(total);
-  }
-}
-
-Tensor row_sum(const Tensor& a) {
-  ZKG_REQUIRE_RANK(a, 2, "row_sum");
-  Tensor out({a.dim(0)});  // pre-sized: see add
-  row_sum_into(out, a);
-  return out;
-}
-
-void row_max_into(Tensor& out, const Tensor& a) {
-  ZKG_REQUIRE_RANK(a, 2, "row_max");
-  ZKG_REQUIRE(a.dim(1) > 0) << " row_max of zero-width tensor";
-  ZKG_REQUIRE_NOT_ALIASED(out, a, "row_max_into");
-  const std::int64_t rows = a.dim(0);
-  const std::int64_t cols = a.dim(1);
-  ensure_shape(out, {rows});
-  for (std::int64_t r = 0; r < rows; ++r) {
-    float best = a[r * cols];
-    for (std::int64_t c = 1; c < cols; ++c) {
-      best = std::max(best, a[r * cols + c]);
-    }
-    out[r] = best;
-  }
-}
-
-Tensor row_max(const Tensor& a) {
-  ZKG_REQUIRE_RANK(a, 2, "row_max");
-  Tensor out({a.dim(0)});  // pre-sized: see add
-  row_max_into(out, a);
-  return out;
-}
-
-std::vector<std::int64_t> argmax_rows(const Tensor& a) {
-  std::vector<std::int64_t> out;
-  argmax_rows_into(out, a);
-  return out;
-}
-
 void argmax_rows_into(std::vector<std::int64_t>& out, const Tensor& a) {
   ZKG_REQUIRE_RANK(a, 2, "argmax_rows");
   ZKG_REQUIRE(a.dim(1) > 0) << " argmax_rows of zero-width tensor";
@@ -327,35 +159,6 @@ void softmax_rows_into(Tensor& out, const Tensor& logits) {
                                  logits.dim(1));
 }
 
-Tensor softmax_rows(const Tensor& logits) {
-  Tensor out;
-  softmax_rows_into(out, logits);
-  return out;
-}
-
-void one_hot_into(Tensor& out, const std::vector<std::int64_t>& labels,
-                  std::int64_t num_classes) {
-  ZKG_REQUIRE(num_classes > 0)
-      << " one_hot: num_classes must be positive, got " << num_classes;
-  ensure_shape(out, {static_cast<std::int64_t>(labels.size()), num_classes});
-  out.fill(0.0f);
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    const std::int64_t label = labels[i];
-    ZKG_REQUIRE_INDEX(label, num_classes, "one_hot") << " (label)";
-    out[static_cast<std::int64_t>(i) * num_classes + label] = 1.0f;
-  }
-}
-
-Tensor one_hot(const std::vector<std::int64_t>& labels,
-               std::int64_t num_classes) {
-  ZKG_REQUIRE(num_classes > 0)
-      << " one_hot: num_classes must be positive, got " << num_classes;
-  // Pre-sized: see add.
-  Tensor out({static_cast<std::int64_t>(labels.size()), num_classes});
-  one_hot_into(out, labels, num_classes);
-  return out;
-}
-
 void concat_rows_into(Tensor& out, const Tensor& a, const Tensor& b) {
   ZKG_REQUIRE(a.ndim() == b.ndim() && a.ndim() >= 1)
       << " concat_rows rank mismatch: " << shape_to_string(a.shape())
@@ -371,12 +174,6 @@ void concat_rows_into(Tensor& out, const Tensor& a, const Tensor& b) {
   ensure_shape(out, out_shape);
   out.assign_rows(0, a);
   out.assign_rows(a.dim(0), b);
-}
-
-Tensor concat_rows(const Tensor& a, const Tensor& b) {
-  Tensor out;
-  concat_rows_into(out, a, b);
-  return out;
 }
 
 void gather_rows_into(Tensor& out, const Tensor& a,
@@ -395,15 +192,6 @@ void gather_rows_into(Tensor& out, const Tensor& a,
     std::copy(a.data() + r * stride, a.data() + (r + 1) * stride,
               out.data() + static_cast<std::int64_t>(i) * stride);
   }
-}
-
-Tensor gather_rows(const Tensor& a, const std::vector<std::int64_t>& indices) {
-  ZKG_REQUIRE(a.ndim() >= 1) << " gather_rows on rank-0 tensor";
-  Shape out_shape = a.shape();
-  out_shape[0] = static_cast<std::int64_t>(indices.size());
-  Tensor out(std::move(out_shape));  // pre-sized: see add
-  gather_rows_into(out, a, indices);
-  return out;
 }
 
 }  // namespace zkg

@@ -7,7 +7,8 @@
 // buffer when one of the right bucket is free (a *hit*) and mallocs only
 // when the free list is empty (a *miss*). The hit/miss/byte counters turn
 // "zero allocations after warmup" into a testable property — see
-// tests/test_workspace.cpp and bench/bench_train_step.cpp.
+// tests/test_workspace.cpp, and perfbench's tensor.pool_misses_per_step and
+// tensor.pool_hit_rate for the training workloads.
 //
 // Ownership rules:
 //  * ensure_shape(t, shape) is the one resize primitive. It reuses t's
@@ -18,8 +19,11 @@
 //  * Workspace is a scoped handle for transient tensors (Sequential's
 //    activation ping-pong). Buffers it hands out return to the pool when
 //    the Workspace dies, so the next step's acquire is a hit.
-//  * A tensor that escapes to a caller (every value-returning kernel) keeps
-//    its buffer; the pool never frees storage behind a live tensor.
+//  * A tensor that escapes to a caller keeps its buffer; the pool never
+//    frees storage behind a live tensor. Code whose result escapes (a
+//    dataset, a returned adversarial batch) constructs the destination at
+//    its final shape before calling an `_into` kernel, so ensure_shape does
+//    nothing and no pooled buffer leaves the steady state.
 #pragma once
 
 #include <cstddef>

@@ -26,12 +26,6 @@ void fill_uniform(Tensor& t, Rng& rng, float lo, float hi) {
   for (std::int64_t i = 0; i < t.numel(); ++i) p[i] = rng.uniform(lo, hi);
 }
 
-Tensor dropout_mask(Shape shape, Rng& rng, float keep_prob) {
-  Tensor mask(std::move(shape));
-  fill_dropout_mask(mask, rng, keep_prob);
-  return mask;
-}
-
 void fill_dropout_mask(Tensor& mask, Rng& rng, float keep_prob) {
   ZKG_REQUIRE(keep_prob > 0.0f && keep_prob <= 1.0f)
       << " keep_prob " << keep_prob << " outside (0, 1]";

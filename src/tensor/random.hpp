@@ -15,11 +15,9 @@ Tensor rand_uniform(Shape shape, Rng& rng, float lo = 0.0f, float hi = 1.0f);
 void fill_normal(Tensor& t, Rng& rng, float mean = 0.0f, float stddev = 1.0f);
 void fill_uniform(Tensor& t, Rng& rng, float lo = 0.0f, float hi = 1.0f);
 
-/// Bernoulli(keep_prob) mask scaled by 1/keep_prob (inverted dropout mask).
-Tensor dropout_mask(Shape shape, Rng& rng, float keep_prob);
-
-/// Refills an existing mask tensor in place (same stream as dropout_mask);
-/// lets Dropout reuse one mask buffer across training steps.
+/// Fills `mask` with Bernoulli(keep_prob) draws scaled by 1/keep_prob (the
+/// inverted dropout mask), in place; lets Dropout reuse one mask buffer
+/// across training steps.
 void fill_dropout_mask(Tensor& mask, Rng& rng, float keep_prob);
 
 }  // namespace zkg

@@ -10,12 +10,14 @@
 #include "attacks/fgsm.hpp"
 #include "attacks/noise.hpp"
 #include "attacks/pgd.hpp"
+#include "attacks/spsa.hpp"
 #include "common/rng.hpp"
 #include "data/preprocess.hpp"
 #include "defense/vanilla.hpp"
 #include "eval/metrics.hpp"
 #include "models/allcnn.hpp"
 #include "models/lenet.hpp"
+#include "models/mlp.hpp"
 #include "models/session.hpp"
 #include "nn/loss.hpp"
 #include "nn/parameter.hpp"
@@ -87,23 +89,24 @@ TEST(InputGradient, MatchesNumericalDifferentiation) {
   const Tensor x = rand_uniform({2, 1, 28, 28}, data_rng, -0.5f, 0.5f);
   const std::vector<std::int64_t> labels{3, 8};
 
-  float loss_value = 0.0f;
-  const Tensor analytic = input_gradient(model, x, labels, &loss_value);
-  EXPECT_GT(loss_value, 0.0f);
+  GradientScratch scratch;
+  Tensor analytic;
+  EXPECT_GT(input_gradient_into(model, x, labels, scratch, analytic), 0.0f);
 
   // Spot-check 40 random coordinates (a full pass over 1568 pixels is slow).
   Rng pick(3);
   Tensor probe = x;
+  Tensor probe_grad;
   for (int trial = 0; trial < 40; ++trial) {
     const std::int64_t i = pick.randint(0, x.numel() - 1);
     const float eps = 1e-3f;
     const float saved = probe[i];
     probe[i] = saved + eps;
-    float plus = 0.0f;
-    input_gradient(model, probe, labels, &plus);
+    const float plus =
+        input_gradient_into(model, probe, labels, scratch, probe_grad);
     probe[i] = saved - eps;
-    float minus = 0.0f;
-    input_gradient(model, probe, labels, &minus);
+    const float minus =
+        input_gradient_into(model, probe, labels, scratch, probe_grad);
     probe[i] = saved;
     const float numeric = (plus - minus) / (2.0f * eps);
     EXPECT_NEAR(analytic[i], numeric, 2e-3f + 0.05f * std::fabs(numeric));
@@ -116,7 +119,9 @@ TEST(InputGradient, LeavesParameterGradientsZero) {
       models::build_lenet({1, 28, 28, 10}, models::Preset::kBench, rng);
   Rng data_rng(5);
   const Tensor x = randn({1, 1, 28, 28}, data_rng, 0.0f, 0.3f);
-  input_gradient(model, x, {0});
+  GradientScratch scratch;
+  Tensor grad;
+  input_gradient_into(model, x, {0}, scratch, grad);
   for (nn::Parameter* p : model.parameters()) {
     EXPECT_FLOAT_EQ(max_abs(p->grad()), 0.0f) << p->name();
   }
@@ -197,9 +202,12 @@ TEST(PerExampleLoss, AgreesWithBatchMean) {
   Rng data_rng(7);
   const Tensor x = randn({4, 1, 28, 28}, data_rng, 0.0f, 0.3f);
   const std::vector<std::int64_t> labels{0, 1, 2, 3};
-  const std::vector<float> each = per_example_loss(model, x, labels);
-  float batch_loss = 0.0f;
-  input_gradient(model, x, labels, &batch_loss);
+  GradientScratch scratch;
+  std::vector<float> each;
+  per_example_loss_into(model, x, labels, scratch, each);
+  Tensor grad;
+  const float batch_loss =
+      input_gradient_into(model, x, labels, scratch, grad);
   float mean_each = 0.0f;
   for (const float l : each) mean_each += l;
   mean_each /= 4.0f;
@@ -232,7 +240,8 @@ TEST_P(BudgetContract, AllAttacksRespectEpsilonAndValidity) {
                                                        &noise}) {
     const Tensor adv = attack->generate(model, x, labels);
     ASSERT_EQ(adv.shape(), x.shape()) << attack->name();
-    const Tensor delta = sub(adv, x);
+    Tensor delta;
+    sub_into(delta, adv, x);
     EXPECT_LE(max_abs(delta), eps + 1e-5f) << attack->name();
     EXPECT_GE(min_value(adv), data::kPixelMin - 1e-6f) << attack->name();
     EXPECT_LE(max_value(adv), data::kPixelMax + 1e-6f) << attack->name();
@@ -259,7 +268,8 @@ TEST(Fgsm, MovesPixelsByExactlyEpsilonInInterior) {
   Rng data_rng(14);
   const Tensor x = rand_uniform({1, 1, 28, 28}, data_rng, -0.2f, 0.2f);
   Fgsm fgsm(AttackBudget{.epsilon = 0.1f});
-  const Tensor delta = sub(fgsm.generate(model, x, {5}), x);
+  Tensor delta;
+  sub_into(delta, fgsm.generate(model, x, {5}), x);
   // Away from the range boundary, each pixel moves by 0 or +-eps exactly.
   std::int64_t moved = 0;
   for (std::int64_t i = 0; i < delta.numel(); ++i) {
@@ -281,6 +291,39 @@ TEST(Attacks, BadBudgetsRejected) {
                InvalidArgument);
   EXPECT_THROW(CarliniWagner(AttackBudget{}, -1.0f), InvalidArgument);
   EXPECT_THROW(GaussianNoise(AttackBudget{}, -0.5f, rng), InvalidArgument);
+}
+
+// Attacks that index logits or per-class gradients by label reject labels
+// that do not match the batch or name no class, instead of reading out of
+// bounds.
+void expect_bad_labels_rejected(Attack& attack) {
+  Rng rng(19);
+  models::Classifier model = models::build_mlp({1, 8, 8, 10}, {16}, rng);
+  const Tensor x = rand_uniform({2, 1, 8, 8}, rng, -1.0f, 1.0f);
+  EXPECT_THROW(attack.generate(model, x, {1}), InvalidArgument);
+  EXPECT_THROW(attack.generate(model, x, {1, 2, 3}), InvalidArgument);
+  EXPECT_THROW(attack.generate(model, x, {1, 10}), InvalidArgument);
+  EXPECT_THROW(attack.generate(model, x, {-1, 1}), InvalidArgument);
+  EXPECT_NO_THROW(attack.generate(model, x, {0, 9}));
+}
+
+const AttackBudget kLabelCheckBudget{.epsilon = 0.2f, .step_size = 0.05f,
+                                     .iterations = 2, .restarts = 1};
+
+TEST(LabelValidation, CarliniWagnerRejectsBadLabels) {
+  CarliniWagner cw(kLabelCheckBudget);
+  expect_bad_labels_rejected(cw);
+}
+
+TEST(LabelValidation, DeepFoolRejectsBadLabels) {
+  DeepFool deepfool(kLabelCheckBudget);
+  expect_bad_labels_rejected(deepfool);
+}
+
+TEST(LabelValidation, SpsaRejectsBadLabels) {
+  Rng rng(20);
+  Spsa spsa(kLabelCheckBudget, rng, /*delta=*/0.01f, /*samples=*/2);
+  expect_bad_labels_rejected(spsa);
 }
 
 TEST_F(TrainedModelFixture, CleanAccuracyIsHigh) {

@@ -150,13 +150,16 @@ TEST(Preprocess, SeparateIsDisjointAndComplete) {
 TEST(Preprocess, GaussianAugmentClampsAndPerturbs) {
   Rng rng(6);
   const Tensor images({2, 1, 4, 4}, 0.5f);
-  const Tensor augmented = gaussian_augment(images, rng, 1.0f);
+  Tensor augmented;
+  gaussian_augment_into(augmented, images, rng, 1.0f);
   EXPECT_GE(min_value(augmented), kPixelMin);
   EXPECT_LE(max_value(augmented), kPixelMax);
   EXPECT_FALSE(augmented.equals(images));
   // sigma = 0 is the identity.
-  EXPECT_TRUE(gaussian_augment(images, rng, 0.0f).equals(images));
-  EXPECT_THROW(gaussian_augment(images, rng, -1.0f), InvalidArgument);
+  gaussian_augment_into(augmented, images, rng, 0.0f);
+  EXPECT_TRUE(augmented.equals(images));
+  EXPECT_THROW(gaussian_augment_into(augmented, images, rng, -1.0f),
+               InvalidArgument);
 }
 
 TEST(Preprocess, ProjectValid) {

@@ -34,7 +34,8 @@ TEST(BatchNorm, TrainingNormalisesBatchStatistics) {
   nn::BatchNorm bn(3);
   Rng rng(1);
   const Tensor x = randn({16, 3}, rng, 5.0f, 2.0f);
-  const Tensor y = bn.forward(x, /*training=*/true);
+  Tensor y;
+  bn.forward_into(x, y, /*training=*/true);
   // Per-feature mean ~0, variance ~1 after normalisation (gamma=1, beta=0).
   for (std::int64_t f = 0; f < 3; ++f) {
     double mean = 0.0, var = 0.0;
@@ -53,8 +54,9 @@ TEST(BatchNorm, TrainingNormalisesBatchStatistics) {
 TEST(BatchNorm, RunningStatsConvergeToDataStats) {
   nn::BatchNorm bn(2, /*momentum=*/0.5f);
   Rng rng(2);
+  Tensor y;
   for (int step = 0; step < 60; ++step) {
-    bn.forward(randn({64, 2}, rng, 3.0f, 1.5f), true);
+    bn.forward_into(randn({64, 2}, rng, 3.0f, 1.5f), y, true);
   }
   EXPECT_NEAR(bn.running_mean()[0], 3.0f, 0.3f);
   EXPECT_NEAR(bn.running_var()[0], 2.25f, 0.5f);
@@ -63,12 +65,17 @@ TEST(BatchNorm, RunningStatsConvergeToDataStats) {
 TEST(BatchNorm, InferenceUsesRunningStats) {
   nn::BatchNorm bn(2);
   Rng rng(3);
+  Tensor y;
   for (int step = 0; step < 20; ++step) {
-    bn.forward(randn({32, 2}, rng, 1.0f, 1.0f), true);
+    bn.forward_into(randn({32, 2}, rng, 1.0f, 1.0f), y, true);
   }
   // Inference output is a deterministic affine map of the input.
   const Tensor probe = randn({4, 2}, rng);
-  EXPECT_TRUE(bn.forward(probe, false).equals(bn.forward(probe, false)));
+  Tensor first;
+  Tensor second;
+  bn.forward_into(probe, first, false);
+  bn.forward_into(probe, second, false);
+  EXPECT_TRUE(first.equals(second));
 }
 
 TEST(BatchNorm, GradientCheckTrainingMode) {
@@ -77,18 +84,22 @@ TEST(BatchNorm, GradientCheckTrainingMode) {
   const Tensor x = randn({8, 3}, rng);
   // d(sum(bn(x)))/dx against central differences (training statistics make
   // this the hard case).
-  bn.forward(x, true);
+  Tensor y;
+  bn.forward_into(x, y, true);
   bn.zero_grad();
-  const Tensor analytic = bn.backward(Tensor({8, 3}, 1.0f));
+  Tensor analytic;
+  bn.backward_into(Tensor({8, 3}, 1.0f), analytic);
   // sum of normalised output is invariant to input shifts, so probe a
   // weighted sum instead for a non-degenerate gradient.
   Tensor weights = randn({8, 3}, rng);
-  bn.forward(x, true);
+  bn.forward_into(x, y, true);
   bn.zero_grad();
-  const Tensor analytic_weighted = bn.backward(weights);
+  Tensor analytic_weighted;
+  bn.backward_into(weights, analytic_weighted);
   const Tensor numeric = numerical_gradient(
-      [&bn, &weights](const Tensor& probe) {
-        return dot(bn.forward(probe, true), weights);
+      [&](const Tensor& probe) {
+        bn.forward_into(probe, y, true);
+        return dot(y, weights);
       },
       x);
   expect_close(analytic_weighted, numeric, 3e-2f, 3e-3f);
@@ -100,12 +111,15 @@ TEST(BatchNorm, GradientCheckRank4) {
   Rng rng(5);
   const Tensor x = randn({3, 2, 4, 4}, rng);
   Tensor weights = randn({3, 2, 4, 4}, rng);
-  bn.forward(x, true);
+  Tensor y;
+  bn.forward_into(x, y, true);
   bn.zero_grad();
-  const Tensor analytic = bn.backward(weights);
+  Tensor analytic;
+  bn.backward_into(weights, analytic);
   const Tensor numeric = numerical_gradient(
-      [&bn, &weights](const Tensor& probe) {
-        return dot(bn.forward(probe, true), weights);
+      [&](const Tensor& probe) {
+        bn.forward_into(probe, y, true);
+        return dot(y, weights);
       },
       x);
   expect_close(analytic, numeric, 3e-2f, 3e-3f);
@@ -115,9 +129,11 @@ TEST(BatchNorm, ParameterGradients) {
   nn::BatchNorm bn(2);
   Rng rng(6);
   const Tensor x = randn({8, 2}, rng);
-  bn.forward(x, true);
+  Tensor y;
+  bn.forward_into(x, y, true);
   bn.zero_grad();
-  bn.backward(Tensor({8, 2}, 1.0f));
+  Tensor grad;
+  bn.backward_into(Tensor({8, 2}, 1.0f), grad);
   // d(sum)/d(beta_f) = count of elements per feature = 8.
   for (std::int64_t f = 0; f < 2; ++f) {
     EXPECT_NEAR(bn.parameters()[1]->grad()[f], 8.0f, 1e-4f);
@@ -127,8 +143,10 @@ TEST(BatchNorm, ParameterGradients) {
 TEST(BatchNorm, Validation) {
   EXPECT_THROW(nn::BatchNorm(0), InvalidArgument);
   nn::BatchNorm bn(2);
-  EXPECT_THROW(bn.forward(Tensor({4, 3}), true), InvalidArgument);
-  EXPECT_THROW(bn.forward(Tensor({1, 2}), true), InvalidArgument);  // n = 1
+  Tensor y;
+  EXPECT_THROW(bn.forward_into(Tensor({4, 3}), y, true), InvalidArgument);
+  EXPECT_THROW(bn.forward_into(Tensor({1, 2}), y, true),
+               InvalidArgument);  // n = 1
 }
 
 // ------------------------------------------------------------------- MLP
@@ -137,7 +155,8 @@ TEST(Mlp, ShapesAndParameterCount) {
   Rng rng(7);
   models::Classifier mlp =
       models::build_mlp({1, 28, 28, 10}, {32, 16}, rng);
-  const Tensor logits = mlp.forward(Tensor({5, 1, 28, 28}), false);
+  Tensor logits;
+  mlp.forward_into(Tensor({5, 1, 28, 28}), logits, false);
   EXPECT_EQ(logits.shape(), Shape({5, 10}));
   EXPECT_EQ(mlp.net().num_parameters(),
             (784 * 32 + 32) + (32 * 16 + 16) + (16 * 10 + 10));
@@ -228,7 +247,9 @@ TEST(Spsa, RespectsBudgetWithoutGradients) {
   attacks::Spsa spsa({.epsilon = 0.2f, .step_size = 0.05f, .iterations = 3},
                      attack_rng, 0.01f, 4);
   const Tensor adv = spsa.generate(mlp, x, {0, 1, 2});
-  EXPECT_LE(max_abs(sub(adv, x)), 0.2f + 1e-5f);
+  Tensor delta;
+  sub_into(delta, adv, x);
+  EXPECT_LE(max_abs(delta), 0.2f + 1e-5f);
   EXPECT_GE(min_value(adv), -1.0f - 1e-6f);
   EXPECT_LE(max_value(adv), 1.0f + 1e-6f);
   // Query-only contract: parameter gradients stay zero.
@@ -326,7 +347,8 @@ TEST_P(ConvReference, Im2ColMatchesNaive) {
                        c.padding};
   nn::Conv2d conv(cfg, rng);
   const Tensor x = randn({2, c.in_channels, c.size, c.size}, rng);
-  const Tensor fast = conv.forward(x, false);
+  Tensor fast;
+  conv.forward_into(x, fast, false);
   const Tensor slow =
       naive_conv(x, conv.weight().value(), conv.bias().value(), cfg);
   EXPECT_TRUE(fast.allclose(slow, 1e-3f))

@@ -150,7 +150,11 @@ TEST(CheckpointPipeline, TrainedDefenseSurvivesSaveLoad) {
       {1, 28, 28, 10}, models::Preset::kBench, other_rng);
   restored.net().load_state(ckpt::load_train_state(path).model_params);
   const Tensor probe = train.images.slice_rows(0, 16);
-  EXPECT_TRUE(model.forward(probe, false).equals(restored.forward(probe, false)));
+  Tensor trained_logits;
+  Tensor restored_logits;
+  model.forward_into(probe, trained_logits, false);
+  restored.forward_into(probe, restored_logits, false);
+  EXPECT_TRUE(trained_logits.equals(restored_logits));
   std::remove(path.c_str());
 }
 

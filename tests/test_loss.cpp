@@ -18,61 +18,76 @@ using testutil::numerical_gradient;
 
 TEST(SoftmaxCrossEntropy, UniformLogitsGiveLogC) {
   const Tensor logits({2, 10});
-  const LossResult loss = softmax_cross_entropy(logits, {3, 7});
-  EXPECT_NEAR(loss.value, std::log(10.0f), 1e-5f);
+  Tensor grad;
+  EXPECT_NEAR(softmax_cross_entropy_into(logits, {3, 7}, grad),
+              std::log(10.0f), 1e-5f);
 }
 
 TEST(SoftmaxCrossEntropy, PerfectPredictionNearZeroLoss) {
   Tensor logits({1, 3});
   logits.at(0, 1) = 50.0f;
-  const LossResult loss = softmax_cross_entropy(logits, {1});
-  EXPECT_LT(loss.value, 1e-4f);
+  Tensor grad;
+  EXPECT_LT(softmax_cross_entropy_into(logits, {1}, grad), 1e-4f);
 }
 
 TEST(SoftmaxCrossEntropy, GradientMatchesNumerical) {
   Rng rng(1);
   const Tensor logits = randn({4, 5}, rng);
   const std::vector<std::int64_t> labels{0, 2, 4, 1};
-  const LossResult loss = softmax_cross_entropy(logits, labels);
+  Tensor grad;
+  softmax_cross_entropy_into(logits, labels, grad);
+  Tensor probe_grad;
   const Tensor numeric = numerical_gradient(
-      [&labels](const Tensor& z) {
-        return softmax_cross_entropy(z, labels).value;
+      [&](const Tensor& z) {
+        return softmax_cross_entropy_into(z, labels, probe_grad);
       },
       logits);
-  expect_close(loss.grad, numeric);
+  expect_close(grad, numeric);
 }
 
 TEST(SoftmaxCrossEntropy, GradientRowsSumToZero) {
   Rng rng(2);
   const Tensor logits = randn({3, 4}, rng);
-  const LossResult loss = softmax_cross_entropy(logits, {0, 1, 2});
-  const Tensor row = row_sum(loss.grad);
-  for (std::int64_t r = 0; r < 3; ++r) EXPECT_NEAR(row[r], 0.0f, 1e-6f);
+  Tensor grad;
+  softmax_cross_entropy_into(logits, {0, 1, 2}, grad);
+  for (std::int64_t r = 0; r < 3; ++r) {
+    double row = 0.0;
+    for (std::int64_t c = 0; c < 4; ++c) row += grad.at(r, c);
+    EXPECT_NEAR(row, 0.0, 1e-6);
+  }
 }
 
 TEST(SoftmaxCrossEntropy, Validation) {
-  EXPECT_THROW(softmax_cross_entropy(Tensor({2, 3}), {0}), InvalidArgument);
-  EXPECT_THROW(softmax_cross_entropy(Tensor({1, 3}), {5}), InvalidArgument);
-  EXPECT_THROW(softmax_cross_entropy(Tensor({3}), {0}), InvalidArgument);
+  Tensor grad;
+  EXPECT_THROW(softmax_cross_entropy_into(Tensor({2, 3}), {0}, grad),
+               InvalidArgument);
+  EXPECT_THROW(softmax_cross_entropy_into(Tensor({1, 3}), {5}, grad),
+               InvalidArgument);
+  EXPECT_THROW(softmax_cross_entropy_into(Tensor({3}), {0}, grad),
+               InvalidArgument);
 }
 
 TEST(BceWithLogits, KnownValues) {
   // z = 0 -> loss = log 2 regardless of target.
-  const LossResult loss =
-      bce_with_logits(Tensor({2, 1}), Tensor({2, 1}, std::vector<float>{0, 1}));
-  EXPECT_NEAR(loss.value, std::log(2.0f), 1e-5f);
+  Tensor grad;
+  EXPECT_NEAR(bce_with_logits_into(Tensor({2, 1}),
+                                   Tensor({2, 1}, std::vector<float>{0, 1}),
+                                   grad),
+              std::log(2.0f), 1e-5f);
 }
 
 TEST(BceWithLogits, StableAtExtremeLogits) {
   const Tensor z({2, 1}, std::vector<float>{80.0f, -80.0f});
   const Tensor t({2, 1}, std::vector<float>{1.0f, 0.0f});
-  const LossResult loss = bce_with_logits(z, t);
-  EXPECT_TRUE(std::isfinite(loss.value));
-  EXPECT_NEAR(loss.value, 0.0f, 1e-5f);
+  Tensor grad;
+  const float loss = bce_with_logits_into(z, t, grad);
+  EXPECT_TRUE(std::isfinite(loss));
+  EXPECT_NEAR(loss, 0.0f, 1e-5f);
   // And the wrong-way extreme is large but finite.
-  const LossResult bad = bce_with_logits(z, sub(Tensor({2, 1}, 1.0f), t));
-  EXPECT_TRUE(std::isfinite(bad.value));
-  EXPECT_NEAR(bad.value, 80.0f, 1e-3f);
+  const Tensor flipped({2, 1}, std::vector<float>{0.0f, 1.0f});
+  const float bad = bce_with_logits_into(z, flipped, grad);
+  EXPECT_TRUE(std::isfinite(bad));
+  EXPECT_NEAR(bad, 80.0f, 1e-3f);
 }
 
 TEST(BceWithLogits, GradientMatchesNumerical) {
@@ -80,16 +95,21 @@ TEST(BceWithLogits, GradientMatchesNumerical) {
   const Tensor z = randn({6, 1}, rng);
   Tensor t({6, 1});
   for (std::int64_t i = 0; i < 6; ++i) t[i] = i % 2 ? 1.0f : 0.0f;
-  const LossResult loss = bce_with_logits(z, t);
+  Tensor grad;
+  bce_with_logits_into(z, t, grad);
+  Tensor probe_grad;
   const Tensor numeric = numerical_gradient(
-      [&t](const Tensor& logits) { return bce_with_logits(logits, t).value; },
+      [&](const Tensor& logits) {
+        return bce_with_logits_into(logits, t, probe_grad);
+      },
       z);
-  expect_close(loss.grad, numeric);
+  expect_close(grad, numeric);
 }
 
 TEST(SigmoidHelper, MatchesDefinition) {
   const Tensor z({3}, std::vector<float>{0.0f, 2.0f, -2.0f});
-  const Tensor p = sigmoid(z);
+  Tensor p;
+  sigmoid_into(p, z);
   EXPECT_NEAR(p[0], 0.5f, 1e-6f);
   EXPECT_NEAR(p[1], 1.0f / (1.0f + std::exp(-2.0f)), 1e-6f);
   EXPECT_NEAR(p[1] + p[2], 1.0f, 1e-6f);  // sigmoid(-z) = 1 - sigmoid(z)
@@ -122,33 +142,39 @@ TEST(CleanLogitPairing, GradientsMatchNumerical) {
   expect_close(pair.grad_a, numeric_a);
   expect_close(pair.grad_b, numeric_b);
   // Anti-symmetry of the pairing gradient.
-  expect_close(pair.grad_a, neg(pair.grad_b), 1e-5f, 1e-6f);
+  Tensor neg_grad_b;
+  mul_into(neg_grad_b, pair.grad_b, -1.0f);
+  expect_close(pair.grad_a, neg_grad_b, 1e-5f, 1e-6f);
 }
 
 TEST(CleanLogitSqueezing, PenalisesLargeLogits) {
   const Tensor small({1, 2}, std::vector<float>{0.1f, -0.1f});
   const Tensor large({1, 2}, std::vector<float>{10.0f, -10.0f});
-  EXPECT_LT(clean_logit_squeezing(small, 0.4f).value,
-            clean_logit_squeezing(large, 0.4f).value);
+  Tensor grad;
+  EXPECT_LT(clean_logit_squeezing_into(small, 0.4f, grad),
+            clean_logit_squeezing_into(large, 0.4f, grad));
 }
 
 TEST(CleanLogitSqueezing, GradientMatchesNumerical) {
   Rng rng(6);
   const Tensor z = randn({4, 3}, rng);
-  const LossResult squeeze = clean_logit_squeezing(z, 0.25f);
+  Tensor grad;
+  clean_logit_squeezing_into(z, 0.25f, grad);
+  Tensor probe_grad;
   const Tensor numeric = numerical_gradient(
-      [](const Tensor& logits) {
-        return clean_logit_squeezing(logits, 0.25f).value;
+      [&](const Tensor& logits) {
+        return clean_logit_squeezing_into(logits, 0.25f, probe_grad);
       },
       z);
-  expect_close(squeeze.grad, numeric);
+  expect_close(grad, numeric);
 }
 
 TEST(CleanLogitSqueezing, LambdaScalesLinearly) {
   Rng rng(7);
   const Tensor z = randn({2, 3}, rng);
-  const float v1 = clean_logit_squeezing(z, 0.1f).value;
-  const float v4 = clean_logit_squeezing(z, 0.4f).value;
+  Tensor grad;
+  const float v1 = clean_logit_squeezing_into(z, 0.1f, grad);
+  const float v4 = clean_logit_squeezing_into(z, 0.4f, grad);
   EXPECT_NEAR(v4, 4.0f * v1, 1e-5f);
 }
 

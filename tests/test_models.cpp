@@ -19,14 +19,16 @@ namespace {
 TEST(LeNet, BenchPresetShapes) {
   Rng rng(1);
   Classifier model = build_lenet({1, 28, 28, 10}, Preset::kBench, rng);
-  const Tensor logits = model.forward(Tensor({3, 1, 28, 28}), false);
+  Tensor logits;
+  model.forward_into(Tensor({3, 1, 28, 28}), logits, false);
   EXPECT_EQ(logits.shape(), Shape({3, 10}));
 }
 
 TEST(LeNet, PaperPresetShapes) {
   Rng rng(2);
   Classifier model = build_lenet({1, 28, 28, 10}, Preset::kPaper, rng);
-  const Tensor logits = model.forward(Tensor({1, 1, 28, 28}), false);
+  Tensor logits;
+  model.forward_into(Tensor({1, 1, 28, 28}), logits, false);
   EXPECT_EQ(logits.shape(), Shape({1, 10}));
   // Madry's MNIST net: 32c5 + 64c5 + fc1024 + fc10.
   EXPECT_GT(model.net().num_parameters(), 3'000'000);
@@ -35,7 +37,8 @@ TEST(LeNet, PaperPresetShapes) {
 TEST(AllCnn, BenchPresetShapes) {
   Rng rng(3);
   Classifier model = build_allcnn({3, 32, 32, 10}, Preset::kBench, rng);
-  const Tensor logits = model.forward(Tensor({2, 3, 32, 32}), false);
+  Tensor logits;
+  model.forward_into(Tensor({2, 3, 32, 32}), logits, false);
   EXPECT_EQ(logits.shape(), Shape({2, 10}));
 }
 
@@ -44,10 +47,16 @@ TEST(AllCnn, InputDropoutOnlyActsInTraining) {
   Classifier model = build_allcnn({3, 32, 32, 10}, Preset::kBench, rng, 0.5f);
   Rng data_rng(5);
   const Tensor x = randn({2, 3, 32, 32}, data_rng);
+  Tensor first;
+  Tensor second;
   // Inference is deterministic.
-  EXPECT_TRUE(model.forward(x, false).equals(model.forward(x, false)));
+  model.forward_into(x, first, false);
+  model.forward_into(x, second, false);
+  EXPECT_TRUE(first.equals(second));
   // Training passes differ (dropout masks resample).
-  EXPECT_FALSE(model.forward(x, true).equals(model.forward(x, true)));
+  model.forward_into(x, first, true);
+  model.forward_into(x, second, true);
+  EXPECT_FALSE(first.equals(second));
 }
 
 TEST(AllCnn, DropoutCanBeAblated) {
@@ -55,14 +64,21 @@ TEST(AllCnn, DropoutCanBeAblated) {
   Classifier model = build_allcnn({3, 32, 32, 10}, Preset::kBench, rng, 0.0f);
   Rng data_rng(7);
   const Tensor x = randn({1, 3, 32, 32}, data_rng);
-  EXPECT_TRUE(model.forward(x, true).allclose(model.forward(x, true)));
+  Tensor first;
+  Tensor second;
+  model.forward_into(x, first, true);
+  model.forward_into(x, second, true);
+  EXPECT_TRUE(first.allclose(second));
 }
 
 TEST(Classifier, RejectsWrongGeometry) {
   Rng rng(8);
   Classifier model = build_lenet({1, 28, 28, 10}, Preset::kBench, rng);
-  EXPECT_THROW(model.forward(Tensor({1, 3, 28, 28}), false), InvalidArgument);
-  EXPECT_THROW(model.forward(Tensor({1, 1, 32, 32}), false), InvalidArgument);
+  Tensor logits;
+  EXPECT_THROW(model.forward_into(Tensor({1, 3, 28, 28}), logits, false),
+               InvalidArgument);
+  EXPECT_THROW(model.forward_into(Tensor({1, 1, 32, 32}), logits, false),
+               InvalidArgument);
 }
 
 TEST(Classifier, PredictReturnsArgmax) {
@@ -70,9 +86,12 @@ TEST(Classifier, PredictReturnsArgmax) {
   Classifier model = build_lenet({1, 28, 28, 10}, Preset::kBench, rng);
   Rng data_rng(10);
   const Tensor x = randn({4, 1, 28, 28}, data_rng);
-  const Tensor logits = model.forward(x, false);
+  Tensor logits;
+  model.forward_into(x, logits, false);
+  std::vector<std::int64_t> argmax;
+  argmax_rows_into(argmax, logits);
   InferenceSession session(model);
-  EXPECT_EQ(session.predict(x), argmax_rows(logits));
+  EXPECT_EQ(session.predict(x), argmax);
 }
 
 TEST(Classifier, CheckpointRoundTrip) {
@@ -82,12 +101,17 @@ TEST(Classifier, CheckpointRoundTrip) {
   Classifier b = build_lenet({1, 28, 28, 10}, Preset::kBench, rng_b);
   Rng data_rng(12);
   const Tensor x = randn({2, 1, 28, 28}, data_rng);
-  ASSERT_FALSE(a.forward(x, false).allclose(b.forward(x, false)));
+  Tensor ya;
+  Tensor yb;
+  a.forward_into(x, ya, false);
+  b.forward_into(x, yb, false);
+  ASSERT_FALSE(ya.allclose(yb));
   ckpt::TrainState state;
   state.model_params = a.net().state();
   ckpt::save_train_state(path, state);
   b.net().load_state(ckpt::load_train_state(path).model_params);
-  EXPECT_TRUE(a.forward(x, false).allclose(b.forward(x, false)));
+  b.forward_into(x, yb, false);
+  EXPECT_TRUE(ya.allclose(yb));
   std::remove(path.c_str());
 }
 
@@ -105,7 +129,8 @@ TEST(Discriminator, TableIIShape) {
   for (nn::Parameter* p : d.parameters()) params += p->numel();
   EXPECT_EQ(params, (10 * 32 + 32) + (32 * 64 + 64) + (64 * 32 + 32) +
                         (32 * 1 + 1));
-  const Tensor out = d.forward(Tensor({5, 10}), false);
+  Tensor out;
+  d.forward_into(Tensor({5, 10}), out, false);
   EXPECT_EQ(out.shape(), Shape({5, 1}));
 }
 
@@ -115,7 +140,8 @@ TEST(Discriminator, ProbabilityInUnitInterval) {
   Rng data_rng(15);
   // Large logits saturate sigmoid to exactly 0/1 in float; the contract is
   // the closed unit interval.
-  const Tensor p = d.probability(randn({20, 10}, data_rng, 0.0f, 10.0f));
+  Tensor p;
+  d.probability_into(randn({20, 10}, data_rng, 0.0f, 10.0f), p);
   EXPECT_GE(min_value(p), 0.0f);
   EXPECT_LE(max_value(p), 1.0f);
 }
@@ -123,7 +149,8 @@ TEST(Discriminator, ProbabilityInUnitInterval) {
 TEST(Discriminator, RejectsWrongLogitWidth) {
   Rng rng(16);
   Discriminator d(10, rng);
-  EXPECT_THROW(d.forward(Tensor({2, 7}), false), InvalidArgument);
+  Tensor out;
+  EXPECT_THROW(d.forward_into(Tensor({2, 7}), out, false), InvalidArgument);
   EXPECT_THROW(Discriminator(1, rng), InvalidArgument);
 }
 
@@ -132,8 +159,10 @@ TEST(Discriminator, BackwardReachesClassLogits) {
   Discriminator d(10, rng);
   Rng data_rng(18);
   const Tensor z = randn({3, 10}, data_rng);
-  d.forward(z, true);
-  const Tensor grad = d.backward(Tensor({3, 1}, 1.0f));
+  Tensor out;
+  d.forward_into(z, out, true);
+  Tensor grad;
+  d.backward_into(Tensor({3, 1}, 1.0f), grad);
   EXPECT_EQ(grad.shape(), Shape({3, 10}));
   EXPECT_GT(max_abs(grad), 0.0f);
 }

@@ -31,30 +31,34 @@ using testutil::same_bits;
 void check_layer_gradients(Module& layer, const Tensor& input,
                            float rtol = 2e-2f, float atol = 2e-3f) {
   // Input gradient. sum(output) has gradient of all-ones w.r.t. output.
-  Tensor output = layer.forward(input, /*training=*/false);
+  Tensor output;
+  layer.forward_into(input, output, /*training=*/false);
   layer.zero_grad();
-  const Tensor analytic = layer.backward(Tensor(output.shape(), 1.0f));
+  const Tensor ones(output.shape(), 1.0f);
+  Tensor analytic;
+  layer.backward_into(ones, analytic);
+  Tensor probe_out;
   const Tensor numeric = numerical_gradient(
-      [&layer](const Tensor& x) {
-        return sum(layer.forward(x, /*training=*/false));
+      [&](const Tensor& x) {
+        layer.forward_into(x, probe_out, /*training=*/false);
+        return sum(probe_out);
       },
       input);
-  // Re-establish the forward cache for the parameter pass below.
-  layer.forward(input, /*training=*/false);
   expect_close(analytic, numeric, rtol, atol);
 
+  Tensor grad_input;
   for (Parameter* param : layer.parameters()) {
     layer.zero_grad();
-    layer.forward(input, false);
-    layer.backward(Tensor(output.shape(), 1.0f));
+    layer.forward_into(input, output, false);
+    layer.backward_into(ones, grad_input);
     const Tensor analytic_param = param->grad();
     const Tensor numeric_param = numerical_gradient(
-        [&layer, &input, param](const Tensor& w) {
+        [&](const Tensor& w) {
           const Tensor saved = param->value();
           param->value() = w;
-          const float value = sum(layer.forward(input, false));
+          layer.forward_into(input, probe_out, false);
           param->value() = saved;
-          return value;
+          return sum(probe_out);
         },
         param->value());
     expect_close(analytic_param, numeric_param, rtol, atol);
@@ -67,7 +71,8 @@ TEST(Dense, ForwardKnownValues) {
   dense.weight().value() = Tensor({2, 2}, std::vector<float>{1, 2, 3, 4});
   dense.bias().value() = Tensor({2}, std::vector<float>{10, 20});
   const Tensor x({1, 2}, std::vector<float>{1, 1});
-  const Tensor y = dense.forward(x, false);
+  Tensor y;
+  dense.forward_into(x, y, false);
   // y = x W^T + b = [1+2, 3+4] + [10, 20].
   EXPECT_TRUE(y.equals(Tensor({1, 2}, std::vector<float>{13, 27})));
 }
@@ -82,7 +87,8 @@ TEST(Dense, GradientCheck) {
 TEST(Dense, RejectsWrongWidth) {
   Rng rng(3);
   Dense dense(4, 3, rng);
-  EXPECT_THROW(dense.forward(Tensor({2, 5}), false), InvalidArgument);
+  Tensor y;
+  EXPECT_THROW(dense.forward_into(Tensor({2, 5}), y, false), InvalidArgument);
   EXPECT_THROW(Dense(0, 3, rng), InvalidArgument);
 }
 
@@ -92,7 +98,8 @@ TEST(Conv2d, OutputShape) {
                .padding = 1},
               rng);
   const Tensor x = randn({2, 3, 9, 9}, rng);
-  const Tensor y = conv.forward(x, false);
+  Tensor y;
+  conv.forward_into(x, y, false);
   EXPECT_EQ(y.shape(), Shape({2, 8, 5, 5}));
   EXPECT_EQ(conv.out_size(9), 5);
 }
@@ -105,7 +112,8 @@ TEST(Conv2d, MatchesDirectConvolution) {
               rng);
   conv.bias().value().fill(0.25f);
   const Tensor x({1, 1, 3, 3}, std::vector<float>{1, 2, 3, 4, 5, 6, 7, 8, 9});
-  const Tensor y = conv.forward(x, false);
+  Tensor y;
+  conv.forward_into(x, y, false);
   const Tensor& w = conv.weight().value();  // [1, 4] = k00 k01 k10 k11
   for (std::int64_t oy = 0; oy < 2; ++oy) {
     for (std::int64_t ox = 0; ox < 2; ++ox) {
@@ -131,9 +139,11 @@ TEST(Im2Col, RoundTripThroughCol2ImCountsOverlaps) {
   const Conv2dConfig cfg{.in_channels = 1, .out_channels = 1, .kernel = 2,
                          .stride = 1, .padding = 0};
   const Tensor x({1, 1, 3, 3}, 1.0f);
-  const Tensor cols = im2col(x, cfg);
+  Tensor cols;
+  im2col_into(cols, x, cfg);
   EXPECT_EQ(cols.shape(), Shape({4, 4}));
-  const Tensor back = col2im(cols, x.shape(), cfg);
+  Tensor back;
+  col2im_into(back, cols, x.shape(), cfg);
   // Centre pixel participates in all four patches, corners in one.
   EXPECT_FLOAT_EQ(back.at(0, 0, 1, 1), 4.0f);
   EXPECT_FLOAT_EQ(back.at(0, 0, 0, 0), 1.0f);
@@ -144,10 +154,12 @@ TEST(MaxPool2d, ForwardAndRouting) {
   MaxPool2d pool(2);
   const Tensor x({1, 1, 2, 4},
                  std::vector<float>{1, 5, 2, 0, 3, 4, 6, 7});
-  const Tensor y = pool.forward(x, false);
+  Tensor y;
+  pool.forward_into(x, y, false);
   EXPECT_TRUE(y.equals(Tensor({1, 1, 1, 2}, std::vector<float>{5, 7})));
   // Gradient routes only to the argmax cells.
-  const Tensor g = pool.backward(Tensor({1, 1, 1, 2}, std::vector<float>{1, 2}));
+  Tensor g;
+  pool.backward_into(Tensor({1, 1, 1, 2}, std::vector<float>{1, 2}), g);
   EXPECT_FLOAT_EQ(g.at(0, 0, 0, 1), 1.0f);
   EXPECT_FLOAT_EQ(g.at(0, 0, 1, 3), 2.0f);
   EXPECT_FLOAT_EQ(sum(g), 3.0f);
@@ -163,7 +175,8 @@ TEST(MaxPool2d, GradientCheck) {
 TEST(GlobalAvgPool, ForwardAndGradient) {
   GlobalAvgPool pool;
   const Tensor x({1, 2, 2, 2}, std::vector<float>{1, 2, 3, 4, 10, 10, 10, 10});
-  const Tensor y = pool.forward(x, false);
+  Tensor y;
+  pool.forward_into(x, y, false);
   EXPECT_TRUE(y.allclose(Tensor({1, 2}, std::vector<float>{2.5f, 10.0f})));
   Rng rng(8);
   const Tensor probe = randn({2, 3, 3, 3}, rng);
@@ -173,8 +186,9 @@ TEST(GlobalAvgPool, ForwardAndGradient) {
 TEST(Activations, ReLUForward) {
   ReLU relu;
   const Tensor x({3}, std::vector<float>{-1, 0, 2});
-  EXPECT_TRUE(relu.forward(x, false).equals(
-      Tensor({3}, std::vector<float>{0, 0, 2})));
+  Tensor y;
+  relu.forward_into(x, y, false);
+  EXPECT_TRUE(y.equals(Tensor({3}, std::vector<float>{0, 0, 2})));
 }
 
 TEST(Activations, GradientChecks) {
@@ -197,7 +211,8 @@ TEST(Activations, GradientChecks) {
 TEST(Activations, SigmoidRange) {
   Sigmoid sigmoid;
   Rng rng(10);
-  const Tensor y = sigmoid.forward(randn({100}, rng, 0.0f, 5.0f), false);
+  Tensor y;
+  sigmoid.forward_into(randn({100}, rng, 0.0f, 5.0f), y, false);
   EXPECT_GT(min_value(y), 0.0f);
   EXPECT_LT(max_value(y), 1.0f);
 }
@@ -206,9 +221,11 @@ TEST(Flatten, RoundTrip) {
   Flatten flatten;
   Rng rng(11);
   const Tensor x = randn({2, 3, 4, 5}, rng);
-  const Tensor y = flatten.forward(x, false);
+  Tensor y;
+  flatten.forward_into(x, y, false);
   EXPECT_EQ(y.shape(), Shape({2, 60}));
-  const Tensor g = flatten.backward(y);
+  Tensor g;
+  flatten.backward_into(y, g);
   EXPECT_EQ(g.shape(), x.shape());
   EXPECT_TRUE(g.equals(x));
 }
@@ -217,15 +234,20 @@ TEST(Dropout, InferenceIsIdentity) {
   Rng rng(12);
   Dropout dropout(0.5f, rng);
   const Tensor x = randn({4, 4}, rng);
-  EXPECT_TRUE(dropout.forward(x, /*training=*/false).equals(x));
-  EXPECT_TRUE(dropout.backward(x).equals(x));
+  Tensor y;
+  dropout.forward_into(x, y, /*training=*/false);
+  EXPECT_TRUE(y.equals(x));
+  Tensor g;
+  dropout.backward_into(x, g);
+  EXPECT_TRUE(g.equals(x));
 }
 
 TEST(Dropout, TrainingDropsAndRescales) {
   Rng rng(13);
   Dropout dropout(0.25f, rng);
   const Tensor x({10000}, 1.0f);
-  const Tensor y = dropout.forward(x, /*training=*/true);
+  Tensor y;
+  dropout.forward_into(x, y, /*training=*/true);
   std::int64_t zeros = 0;
   for (std::int64_t i = 0; i < y.numel(); ++i) {
     if (y[i] == 0.0f) {
@@ -236,7 +258,8 @@ TEST(Dropout, TrainingDropsAndRescales) {
   }
   EXPECT_NEAR(static_cast<double>(zeros) / y.numel(), 0.25, 0.02);
   // Backward applies the same mask.
-  const Tensor g = dropout.backward(x);
+  Tensor g;
+  dropout.backward_into(x, g);
   EXPECT_TRUE(g.equals(y));
 }
 
@@ -244,7 +267,9 @@ TEST(Dropout, ZeroRateIsIdentityEvenInTraining) {
   Rng rng(14);
   Dropout dropout(0.0f, rng);
   const Tensor x = randn({8}, rng);
-  EXPECT_TRUE(dropout.forward(x, true).equals(x));
+  Tensor y;
+  dropout.forward_into(x, y, true);
+  EXPECT_TRUE(y.equals(x));
   EXPECT_THROW(Dropout(1.0f, rng), InvalidArgument);
 }
 
@@ -276,9 +301,14 @@ TEST(Sequential, StateRoundTrip) {
   Sequential b;
   b.emplace<Dense>(3, 3, rng);
   const Tensor x = randn({2, 3}, rng);
-  ASSERT_FALSE(a.forward(x, false).allclose(b.forward(x, false)));
+  Tensor ya;
+  Tensor yb;
+  a.forward_into(x, ya, false);
+  b.forward_into(x, yb, false);
+  ASSERT_FALSE(ya.allclose(yb));
   b.load_state(a.state());
-  EXPECT_TRUE(a.forward(x, false).allclose(b.forward(x, false)));
+  b.forward_into(x, yb, false);
+  EXPECT_TRUE(ya.allclose(yb));
   // Mismatched state is rejected.
   Sequential c;
   c.emplace<Dense>(2, 2, rng);
@@ -287,7 +317,8 @@ TEST(Sequential, StateRoundTrip) {
 
 TEST(Sequential, EmptyNetworkRejected) {
   Sequential net;
-  EXPECT_THROW(net.forward(Tensor({1, 1}), false), InvalidArgument);
+  Tensor y;
+  EXPECT_THROW(net.forward_into(Tensor({1, 1}), y, false), InvalidArgument);
 }
 
 TEST(Parameter, ZeroAndAccumulate) {
@@ -328,14 +359,16 @@ TEST(InputGradOnly, BatchNormNetInputGradientIsBitIdentical) {
     Sequential net = conv_batchnorm_net(rng);
     const Tensor x = randn({3, 2, 6, 6}, rng);
     const Tensor seed = randn({3, 3}, rng);
-    net.forward(x, training);
+    Tensor y;
+    net.forward_into(x, y, training);
     Tensor scoped;
     {
       const InputGradOnly input_grad_only;
-      scoped = net.backward(seed);
+      net.backward_into(seed, scoped);
     }
     EXPECT_EQ(max_param_grad(net), 0.0f) << "training=" << training;
-    const Tensor full = net.backward(seed);
+    Tensor full;
+    net.backward_into(seed, full);
     EXPECT_TRUE(same_bits(scoped, full)) << "training=" << training;
     EXPECT_GT(max_param_grad(net), 0.0f) << "training=" << training;
   }
@@ -353,8 +386,10 @@ TEST(InputGradOnly, FlagIsThreadLocal) {
   float worker_grad = 0.0f;
   std::thread worker([&] {
     worker_enabled = param_grads_enabled();
-    net.forward(x, /*training=*/true);
-    net.backward(seed);
+    Tensor y;
+    Tensor g;
+    net.forward_into(x, y, /*training=*/true);
+    net.backward_into(seed, g);
     worker_grad = max_param_grad(net);
   });
   worker.join();

@@ -68,7 +68,8 @@ TEST(Adam, ConvergesOnQuadratic) {
   Adam adam({&w}, {.learning_rate = 0.1f});
   for (int i = 0; i < 500; ++i) {
     w.zero_grad();
-    Tensor grad = sub(w.value(), target);
+    Tensor grad;
+    sub_into(grad, w.value(), target);
     mul_(grad, 2.0f);
     w.accumulate_grad(grad);
     adam.step();

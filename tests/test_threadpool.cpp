@@ -221,11 +221,12 @@ TEST(ParallelKernels, MatmulBitIdenticalToSerial) {
   Rng rng(7);
   const Tensor a = randn({33, 47}, rng);
   const Tensor b = randn({47, 29}, rng);
-  const Tensor parallel = matmul(a, b);
+  Tensor parallel;
+  matmul_into(parallel, a, b);
   Tensor serial;
   {
     SerialScope scope;
-    serial = matmul(a, b);
+    matmul_into(serial, a, b);
   }
   ASSERT_EQ(parallel.shape(), serial.shape());
   EXPECT_EQ(std::memcmp(parallel.data(), serial.data(),
@@ -239,13 +240,14 @@ TEST(ParallelKernels, MatmulVariantsBitIdenticalToSerial) {
   const Tensor b = randn({18, 35}, rng);   // for nt: [m,k] x [n,k]^T
   const Tensor c = randn({35, 21}, rng);   // for tn: [k,m]^T x [k,n]
   const Tensor d = randn({35, 13}, rng);
-  const Tensor nt_par = matmul_nt(a, b);
-  const Tensor tn_par = matmul_tn(c, d);
+  Tensor nt_par, tn_par;
+  matmul_nt_into(nt_par, a, b);
+  matmul_tn_into(tn_par, c, d);
   Tensor nt_ser, tn_ser;
   {
     SerialScope scope;
-    nt_ser = matmul_nt(a, b);
-    tn_ser = matmul_tn(c, d);
+    matmul_nt_into(nt_ser, a, b);
+    matmul_tn_into(tn_ser, c, d);
   }
   EXPECT_EQ(nt_par.storage(), nt_ser.storage());
   EXPECT_EQ(tn_par.storage(), tn_ser.storage());
@@ -270,13 +272,14 @@ TEST(ParallelKernels, NestedMatmulBitIdenticalToSerial) {
                [&](std::int64_t begin, std::int64_t end) {
                  for (std::int64_t i = begin; i < end; ++i) {
                    const auto idx = static_cast<std::size_t>(i);
-                   parallel[idx] = matmul(lhs[idx], rhs);
+                   matmul_into(parallel[idx], lhs[idx], rhs);
                  }
                });
   const SerialScope scope;
+  Tensor serial;
   for (std::size_t i = 0; i < kOuter; ++i) {
-    EXPECT_EQ(parallel[i].storage(), matmul(lhs[i], rhs).storage())
-        << "outer item " << i;
+    matmul_into(serial, lhs[i], rhs);
+    EXPECT_EQ(parallel[i].storage(), serial.storage()) << "outer item " << i;
   }
 }
 
@@ -285,20 +288,22 @@ TEST(ParallelKernels, Im2ColBitIdenticalToSerial) {
   const nn::Conv2dConfig cfg{.in_channels = 3, .out_channels = 8,
                              .kernel = 3, .stride = 1, .padding = 1};
   const Tensor x = randn({5, 3, 11, 9}, rng);
-  const Tensor parallel = nn::im2col(x, cfg);
+  Tensor parallel;
+  nn::im2col_into(parallel, x, cfg);
   Tensor serial;
   {
     SerialScope scope;
-    serial = nn::im2col(x, cfg);
+    nn::im2col_into(serial, x, cfg);
   }
   ASSERT_EQ(parallel.shape(), serial.shape());
   EXPECT_EQ(parallel.storage(), serial.storage());
 
-  const Tensor back_par = nn::col2im(parallel, x.shape(), cfg);
+  Tensor back_par;
+  nn::col2im_into(back_par, parallel, x.shape(), cfg);
   Tensor back_ser;
   {
     SerialScope scope;
-    back_ser = nn::col2im(serial, x.shape(), cfg);
+    nn::col2im_into(back_ser, serial, x.shape(), cfg);
   }
   EXPECT_EQ(back_par.storage(), back_ser.storage());
 }

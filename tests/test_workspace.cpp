@@ -1,12 +1,15 @@
 // BufferPool / Workspace / ensure_shape tests, plus the steady-state
 // regression: after one warmup iteration, a CLS training step and a
-// PGD/SPSA attack step must run with zero pool misses, and results computed
-// through dirty recycled buffers must be bit-identical to freshly allocated
-// ones.
+// PGD/CW/DeepFool/SPSA attack step must run with zero pool misses, and
+// results computed through dirty recycled buffers must be bit-identical to
+// freshly allocated ones.
 #include <gtest/gtest.h>
 
+#include <type_traits>
 #include <vector>
 
+#include "attacks/cw.hpp"
+#include "attacks/deepfool.hpp"
 #include "attacks/pgd.hpp"
 #include "attacks/spsa.hpp"
 #include "common/rng.hpp"
@@ -176,35 +179,39 @@ TEST(Workspace, ScratchGrowsThroughPool) {
   EXPECT_EQ(pool.stats().free_buffers, 1u);
 }
 
-// _into kernels writing over a dirty recycled destination must produce the
-// same bits as their value-returning forms.
+// Runs `kernel` into a fresh, empty destination and then into `dirty`, a
+// recycled one of the wrong shape and stale contents: the two results (and
+// any scalar the kernel returns) must be bit-identical.
+template <typename Kernel>
+void expect_dirty_matches_fresh(Tensor& dirty, Kernel kernel) {
+  Tensor fresh;
+  if constexpr (std::is_void_v<std::invoke_result_t<Kernel, Tensor&>>) {
+    kernel(fresh);
+    kernel(dirty);
+  } else {
+    const auto value = kernel(fresh);
+    EXPECT_EQ(kernel(dirty), value);
+  }
+  EXPECT_TRUE(dirty.equals(fresh));
+}
+
 TEST(IntoKernels, BitIdenticalOverDirtyDestinations) {
   Rng rng(3);
   const Tensor a = randn({9, 17}, rng);
   const Tensor b = randn({17, 11}, rng);
-  const Tensor bt = transpose2d(b);
+  const Tensor bt = randn({11, 17}, rng);
 
   Tensor dirty({123}, 42.0f);  // wrong shape, garbage contents
-  matmul_into(dirty, a, b);
-  EXPECT_TRUE(dirty.equals(matmul(a, b)));
-
-  matmul_nt_into(dirty, a, bt);
-  EXPECT_TRUE(dirty.equals(matmul_nt(a, bt)));
-
-  matmul_tn_into(dirty, a, a);
-  EXPECT_TRUE(dirty.equals(matmul_tn(a, a)));
-
-  transpose2d_into(dirty, a);
-  EXPECT_TRUE(dirty.equals(transpose2d(a)));
-
-  col_sum_into(dirty, a);
-  EXPECT_TRUE(dirty.equals(col_sum(a)));
-
-  softmax_rows_into(dirty, a);
-  EXPECT_TRUE(dirty.equals(softmax_rows(a)));
-
-  concat_rows_into(dirty, a, a);
-  EXPECT_TRUE(dirty.equals(concat_rows(a, a)));
+  expect_dirty_matches_fresh(dirty, [&](Tensor& c) { matmul_into(c, a, b); });
+  expect_dirty_matches_fresh(dirty,
+                             [&](Tensor& c) { matmul_nt_into(c, a, bt); });
+  expect_dirty_matches_fresh(dirty,
+                             [&](Tensor& c) { matmul_tn_into(c, a, a); });
+  expect_dirty_matches_fresh(dirty, [&](Tensor& c) { col_sum_into(c, a); });
+  expect_dirty_matches_fresh(dirty,
+                             [&](Tensor& c) { softmax_rows_into(c, a); });
+  expect_dirty_matches_fresh(dirty,
+                             [&](Tensor& c) { concat_rows_into(c, a, a); });
 }
 
 TEST(IntoKernels, FusedSignStepMatchesAxpyOfSign) {
@@ -213,8 +220,12 @@ TEST(IntoKernels, FusedSignStepMatchesAxpyOfSign) {
   Tensor fused = randn({3, 50}, rng);
   Tensor reference = fused;
 
+  Tensor signs(grad.shape());
+  for (std::int64_t i = 0; i < grad.numel(); ++i) {
+    signs[i] = grad[i] > 0.0f ? 1.0f : (grad[i] < 0.0f ? -1.0f : 0.0f);
+  }
   add_scaled_sign_(fused, 0.07f, grad);
-  axpy_(reference, 0.07f, sign(grad));
+  axpy_(reference, 0.07f, signs);
   EXPECT_TRUE(fused.equals(reference));
 
   // Exact zeros in the gradient contribute exactly nothing.
@@ -224,40 +235,36 @@ TEST(IntoKernels, FusedSignStepMatchesAxpyOfSign) {
   EXPECT_TRUE(fused.equals(before));
 }
 
-TEST(IntoKernels, LossIntoMatchesValueForms) {
+TEST(IntoKernels, LossesBitIdenticalOverDirtyDestinations) {
   Rng rng(7);
   const Tensor logits = randn({6, 10}, rng);
   const std::vector<std::int64_t> labels{0, 3, 9, 2, 5, 1};
-
-  Tensor dirty({77}, -3.0f);
-  const float ce = nn::softmax_cross_entropy_into(logits, labels, dirty);
-  const nn::LossResult ce_ref = nn::softmax_cross_entropy(logits, labels);
-  EXPECT_EQ(ce, ce_ref.value);
-  EXPECT_TRUE(dirty.equals(ce_ref.grad));
-
-  const float cls = nn::clean_logit_squeezing_into(logits, 0.4f, dirty);
-  const nn::LossResult cls_ref = nn::clean_logit_squeezing(logits, 0.4f);
-  EXPECT_EQ(cls, cls_ref.value);
-  EXPECT_TRUE(dirty.equals(cls_ref.grad));
-
   const Tensor d_logits = randn({6, 1}, rng);
   const Tensor targets({6, 1}, 1.0f);
-  const float bce = nn::bce_with_logits_into(d_logits, targets, dirty);
-  const nn::LossResult bce_ref = nn::bce_with_logits(d_logits, targets);
-  EXPECT_EQ(bce, bce_ref.value);
-  EXPECT_TRUE(dirty.equals(bce_ref.grad));
+
+  Tensor dirty({77}, -3.0f);
+  expect_dirty_matches_fresh(dirty, [&](Tensor& grad) {
+    return nn::softmax_cross_entropy_into(logits, labels, grad);
+  });
+  expect_dirty_matches_fresh(dirty, [&](Tensor& grad) {
+    return nn::clean_logit_squeezing_into(logits, 0.4f, grad);
+  });
+  expect_dirty_matches_fresh(dirty, [&](Tensor& grad) {
+    return nn::bce_with_logits_into(d_logits, targets, grad);
+  });
 }
 
-TEST(IntoKernels, GaussianAugmentIntoConsumesSameRngStream) {
+TEST(IntoKernels, GaussianAugmentIntoIsBitIdenticalOverDirtyDestination) {
   Rng rng_a(11);
   Rng rng_b(11);
   Rng images_rng(13);
   const Tensor images = rand_uniform({4, 1, 8, 8}, images_rng, -1.0f, 1.0f);
 
-  const Tensor value_form = data::gaussian_augment(images, rng_a, 0.5f);
+  Tensor fresh;
+  data::gaussian_augment_into(fresh, images, rng_a, 0.5f);
   Tensor dirty({10}, 9.0f);
   data::gaussian_augment_into(dirty, images, rng_b, 0.5f);
-  EXPECT_TRUE(dirty.equals(value_form));
+  EXPECT_TRUE(dirty.equals(fresh));
   // Both rngs must have advanced identically.
   EXPECT_EQ(rng_a.uniform(0.0f, 1.0f), rng_b.uniform(0.0f, 1.0f));
 }
@@ -317,6 +324,48 @@ TEST(SteadyState, PgdAttackStepHasZeroPoolMissesAfterWarmup) {
   EXPECT_EQ(stats.misses, 0u);
   EXPECT_GT(stats.hits, 0u);
   EXPECT_EQ(stats.bytes_allocated, 0u);
+}
+
+// Drives `attack` through generate_into on a 16-image LeNet batch: after
+// one warmup call, a second call must take no new buffer from the pool.
+void expect_attack_zero_pool_misses_after_warmup(attacks::Attack& attack) {
+  auto model = small_model(27);
+  Rng data_rng(25);
+  const Tensor images = rand_uniform({16, 1, 28, 28}, data_rng, -1.0f, 1.0f);
+  std::vector<std::int64_t> labels;
+  for (std::int64_t i = 0; i < 16; ++i) labels.push_back(i % 10);
+
+  Tensor adv;
+  attack.generate_into(model, images, labels, adv);  // warmup
+
+  BufferPool::global().reset_stats();
+  attack.generate_into(model, images, labels, adv);
+  const PoolStats stats = BufferPool::global().stats();
+  EXPECT_EQ(adv.shape(), images.shape());
+  EXPECT_EQ(stats.misses, 0u) << attack.name();
+  EXPECT_EQ(stats.bytes_allocated, 0u) << attack.name();
+}
+
+// Restart selection scores each restart by per-example loss, through the
+// attack's member scratch.
+TEST(SteadyState, PgdWithRestartsHasZeroPoolMissesAfterWarmup) {
+  Rng attack_rng(5);
+  attacks::Pgd pgd({.epsilon = 0.3f, .step_size = 0.1f, .iterations = 3,
+                    .restarts = 2},
+                   attack_rng);
+  expect_attack_zero_pool_misses_after_warmup(pgd);
+}
+
+// The Table IV attacks keep their logits, backward seeds and input
+// gradients in member scratch; the returned batch is a plain allocation.
+TEST(SteadyState, CarliniWagnerHasZeroPoolMissesAfterWarmup) {
+  attacks::CarliniWagner cw({.epsilon = 0.3f, .iterations = 5});
+  expect_attack_zero_pool_misses_after_warmup(cw);
+}
+
+TEST(SteadyState, DeepFoolHasZeroPoolMissesAfterWarmup) {
+  attacks::DeepFool deepfool({.epsilon = 0.3f, .iterations = 3});
+  expect_attack_zero_pool_misses_after_warmup(deepfool);
 }
 
 // The inference path behind the Evaluator and the serving engine: once the

@@ -24,8 +24,6 @@ RULE_HELP = {
     "layer; use zkg::ckpt::atomic_write_file.",
     "simd-outside-backend": "Raw SIMD intrinsics outside "
     "src/tensor/backend/; add a KernelBackend kernel.",
-    "into-counterpart": "Value-returning tensor kernel without a _into "
-    "destination-passing counterpart.",
     "blocking-under-lock": "Blocking call while holding a mutex guard in "
     "src/serve or src/data.",
     "detached-thread": "Detached threads outlive every destructor-order "

@@ -90,9 +90,6 @@ def run(files: list[SourceFile], reporter: Reporter, root: Path) -> None:
             _lint_blocking_under_lock(source, reporter)
         if source.rel not in SLEEP_LOOP_EXEMPT:
             _lint_sleep_in_loop(source, reporter)
-    ops = next((f for f in files if f.rel == "src/tensor/ops.hpp"), None)
-    if ops is not None:
-        _lint_into_counterparts(ops, reporter)
     # sleep-in-loop alone extends past src/: the layer and primitive rules
     # don't govern the leaf trees, but a polling loop is a defect anywhere.
     for tree in SLEEP_EXTRA_TREES:
@@ -438,35 +435,3 @@ def _skip_parens(code: list[Tok], i: int) -> int:
                 return i + 1
         i += 1
     return i
-
-
-# ---------------------------------------------------- _into counterparts
-
-# Kernels whose value form has no meaningful destination-reuse story.
-INTO_EXEMPT: set[str] = set()
-
-
-def _lint_into_counterparts(ops: SourceFile, reporter: Reporter) -> None:
-    code = ops.code
-    idents = {t.text for t in code if t.kind == "id"}
-    for i, tok in enumerate(code):
-        if tok.kind != "id" or tok.text != "Tensor":
-            continue
-        prev = code[i - 1] if i > 0 else None
-        nxt = code[i + 1] if i + 1 < len(code) else None
-        after = code[i + 2] if i + 2 < len(code) else None
-        # A value-returning kernel declaration: `Tensor name(` at statement
-        # position (start of file, after ; { } or a pp directive).
-        if (nxt is None or after is None or nxt.kind != "id"
-                or after.text != "("):
-            continue
-        if prev is not None and prev.kind not in ("pp",) \
-                and prev.text not in (";", "{", "}"):
-            continue
-        name = nxt.text
-        if name in INTO_EXEMPT or name.endswith("_into"):
-            continue
-        if f"{name}_into" not in idents:
-            reporter.report(
-                ops, "into-counterpart", tok.line,
-                f"kernel '{name}' has no '{name}_into' counterpart")
