@@ -35,48 +35,26 @@ std::ofstream* bench_json_stream() {
 
 // ZKG_JOBS > 1 trains the four defenses as concurrent scheduler jobs. The
 // per-epoch timings then measure a loaded machine (jobs compete for cores),
-// so the serial path stays the default for Figure 5's absolute numbers; the
-// parallel path is for quickly checking the ordinal claim. The shared
-// ZKG_BENCH_JSON stream only applies serially — concurrent trainers would
-// interleave records mid-line — so parallel runs skip the recorder.
-std::vector<zkg::eval::TrainingTimeRow> run_rows_parallel(
-    zkg::data::DatasetId id, std::uint64_t seed, unsigned jobs) {
-  using namespace zkg;
-  const std::vector<defense::DefenseId> defenses = {
-      defense::DefenseId::kZkGanDef, defense::DefenseId::kFgsmAdv,
-      defense::DefenseId::kPgdAdv, defense::DefenseId::kPgdGanDef};
-  std::vector<eval::SweepCell> cells;
-  for (const defense::DefenseId d : defenses) {
-    cells.push_back(eval::SweepCell{d, id, seed});
-  }
-  eval::SweepOptions options;
-  options.jobs = jobs;
-  options.epochs = 2;
-  options.evaluate = false;
-  std::vector<eval::TrainingTimeRow> rows;
-  for (const eval::SweepRun& run : eval::run_sweep(cells, options)) {
-    rows.push_back({defense::defense_name(run.cell.defense),
-                    run.ok ? run.train.mean_epoch_seconds() : 0.0});
-  }
-  return rows;
-}
-
+// so serial stays the default for Figure 5's absolute numbers; the parallel
+// run is for quickly checking the ordinal claim. The shared ZKG_BENCH_JSON
+// recorder is attached only serially: concurrent trainers would interleave
+// records mid-line.
 void run_panel(zkg::data::DatasetId id, const char* label) {
   using namespace zkg;
   const std::uint64_t seed =
       static_cast<std::uint64_t>(env_or_int("ZKG_SEED", 20190417));
-  const unsigned jobs = static_cast<unsigned>(env_or_int("ZKG_JOBS", 1));
   std::cout << "--- " << label << " (" << data::dataset_name(id) << ") ---\n";
-  std::vector<eval::TrainingTimeRow> rows;
-  if (jobs != 1) {
-    rows = run_rows_parallel(id, seed, jobs);
-  } else {
-    std::unique_ptr<defense::JsonlTrainObserver> recorder;
-    if (std::ofstream* json = bench_json_stream()) {
-      recorder = std::make_unique<defense::JsonlTrainObserver>(*json);
-    }
-    rows = eval::run_training_time(id, seed, /*epochs=*/2, recorder.get());
+  eval::SweepOptions options;
+  options.jobs = static_cast<unsigned>(env_or_int("ZKG_JOBS", 1));
+  options.epochs = 2;
+  std::unique_ptr<defense::JsonlTrainObserver> recorder;
+  std::ofstream* json = options.jobs == 1 ? bench_json_stream() : nullptr;
+  if (json != nullptr) {
+    recorder = std::make_unique<defense::JsonlTrainObserver>(*json);
+    options.observer = recorder.get();
   }
+  const std::vector<eval::TrainingTimeRow> rows =
+      eval::run_training_time(id, seed, options);
 
   double zk_seconds = 0.0;
   for (const eval::TrainingTimeRow& row : rows) {

@@ -1,9 +1,9 @@
 // Sweep bench: the Table-3-style 4-cell sweep behind this repo's async
 // pipeline acceptance criteria. Trains the same four defenses twice —
-// serially through the synchronous Batcher, then concurrently (ZKG_JOBS
-// jobs) through the PrefetchBatcher pipeline — and checks the parallel
-// run's final weights bit-for-bit against the serial reference before
-// reporting the wall-clock speedup.
+// serially (one job), then concurrently (ZKG_JOBS jobs), both through
+// Trainer::fit's PrefetchBatcher pipeline — and checks the parallel run's
+// final weights bit-for-bit against the serial reference before reporting
+// the wall-clock speedup.
 //
 // ZKG_BENCH_JSON=<path> additionally records the perf trajectory as a
 // single JSON document: per-cell epoch wall-clock and batches/sec for both
@@ -84,18 +84,15 @@ int main() {
   };
 
   std::cout << "=== Sweep bench — " << cells.size()
-            << " cells, serial sync vs " << jobs
-            << "-job prefetch pipeline ===\n\n";
+            << " cells, serial vs " << jobs << " jobs ===\n\n";
 
   eval::SweepOptions serial_opts;
   serial_opts.jobs = 1;
-  serial_opts.prefetch = false;
   serial_opts.evaluate = false;
   serial_opts.keep_params = true;
 
   eval::SweepOptions parallel_opts = serial_opts;
   parallel_opts.jobs = jobs;
-  parallel_opts.prefetch = true;
 
   BufferPool::global().reset_stats();
   Stopwatch serial_watch;
@@ -165,7 +162,7 @@ int main() {
     return 1;
   }
   if (!identical) {
-    std::cerr << "FAIL: parallel prefetch weights diverged from the serial "
+    std::cerr << "FAIL: parallel sweep weights diverged from the serial "
                  "reference\n";
     return 1;
   }

@@ -15,18 +15,21 @@
 #                                    # BENCH_serve.json (DESIGN.md §14);
 #                                    # knobs: ZKG_SERVE_SECONDS / _CLIENTS /
 #                                    # _BATCH / _DELAY_US / _STRICT
-#   ./run_benches.sh --jobs <n>      # sweep mode: run only bench_sweep with
-#                                    # n concurrent scheduler jobs and record
-#                                    # the perf trajectory (epoch wall-clock,
-#                                    # batches/sec, pool hit/miss counters,
-#                                    # serial-vs-parallel speedup) to
-#                                    # BENCH_sweep.json (DESIGN.md §12)
+#   ./run_benches.sh --jobs <n>      # sweep mode: run only bench_sweep,
+#                                    # which trains its cells serially and
+#                                    # then as n concurrent scheduler jobs,
+#                                    # checks the weights match bitwise and
+#                                    # records the perf trajectory (epoch
+#                                    # wall-clock, batches/sec, pool hit/miss
+#                                    # counters, serial-vs-parallel speedup)
+#                                    # to BENCH_sweep.json (DESIGN.md §12)
 #
 # Kernel parallelism: every binary runs zkg::parallel_for on the in-tree
 # thread pool. ZKG_THREADS=<n> overrides the worker count, e.g.
 # `ZKG_THREADS=8 ./run_benches.sh`.
 # ZKG_JOBS=<n> additionally parallelizes the Table III/IV and Figure 5
-# drivers at the experiment level (n concurrent training jobs).
+# drivers at the experiment level (n concurrent training jobs; the
+# Table III and Figure 5 sweeps refuse ZKG_CKPT_DIR when n != 1).
 #
 # Kernel backend: ZKG_BACKEND=scalar|avx2|auto selects the compute backend
 # (DESIGN.md §13); default auto picks AVX2 when the CPU supports it.

@@ -12,7 +12,8 @@ PrefetchBatcher::PrefetchBatcher(const Dataset& dataset,
                                  std::int64_t batch_size, Rng& rng,
                                  bool shuffle, ThreadPool* pool)
     : inner_(dataset, batch_size, rng, shuffle),
-      pool_(pool != nullptr ? pool : &ThreadPool::shared()) {
+      pool_(pool != nullptr ? pool : &ThreadPool::shared()),
+      buffers_(BufferPool::global()) {
   // The inner Batcher's constructor already ran its first start_epoch (same
   // as the synchronous path), so prime the pipeline from that permutation.
   epoch_state_ = inner_.state();
@@ -26,6 +27,12 @@ PrefetchBatcher::~PrefetchBatcher() {
   // already captured in slot_error_ and dies with the slot.
   try {
     drain();
+    // The slot buffer came from the global pool (Batcher::next_into grows
+    // it through ensure_shape); hand it back so the next fit()'s batcher
+    // acquires it as a hit instead of a fresh allocation.
+    if (slot_.images.storage().capacity() > 0) {
+      buffers_.release(std::move(slot_.images.storage()));
+    }
   } catch (const std::exception& error) {
     log::error() << "data: exception draining prefetch at destruction: "
                  << error.what();

@@ -25,6 +25,7 @@
 #include "common/lockrank.hpp"
 #include "common/threadpool.hpp"
 #include "data/batcher.hpp"
+#include "tensor/pool.hpp"
 
 namespace zkg::data {
 
@@ -34,7 +35,7 @@ class PrefetchBatcher : public BatchSource {
   /// tasks run on `pool` (default: the process-wide shared pool).
   PrefetchBatcher(const Dataset& dataset, std::int64_t batch_size, Rng& rng,
                   bool shuffle = true, ThreadPool* pool = nullptr);
-  /// Joins any in-flight fill before releasing the buffers.
+  /// Joins any in-flight fill, then returns the slot buffer to the pool.
   ~PrefetchBatcher() override;
 
   PrefetchBatcher(const PrefetchBatcher&) = delete;
@@ -64,6 +65,10 @@ class PrefetchBatcher : public BatchSource {
 
   Batcher inner_;            // producer-owned between submit_fill and kReady
   ThreadPool* pool_;
+  // Where the slot buffer returns at destruction. Resolved in the
+  // constructor so the global pool, like the shared ThreadPool, finishes
+  // construction first and outlives a static-duration batcher.
+  BufferPool& buffers_;
 
   // The handoff slot. `batch`/`end`/`error` are written by the producer
   // while `state == kFilling` and read by the consumer once `kReady`; the

@@ -107,11 +107,9 @@ bool TrainResult::converged() const {
 
 Trainer::Trainer(models::Classifier& model, TrainConfig config)
     : model_(model), config_(config), rng_(config.seed) {
-  // Per-process overrides (ZKG_CKPT_*, ZKG_PREFETCH) land before validation
-  // so a bad env value fails as loudly as a bad config field.
+  // Per-process overrides (ZKG_CKPT_*) land before validation so a bad env
+  // value fails as loudly as a bad config field.
   config_.checkpoint = ckpt::checkpoint_config_from_env(config_.checkpoint);
-  config_.prefetch =
-      env_or_int("ZKG_PREFETCH", config_.prefetch ? 1 : 0) != 0;
   config_.validate();
   optimizer_ = std::make_unique<optim::Adam>(
       model_.parameters(), optim::AdamConfig{.learning_rate =
@@ -338,17 +336,11 @@ TrainResult Trainer::fit(const data::Dataset& train) {
   if (env_or_int("ZKG_CKPT_HANDLE_SIGNALS", 0) != 0) {
     ckpt::install_signal_handlers();
   }
-  // Both sources fork rng_ exactly once and share the shuffle-stream
-  // semantics, so the prefetching pipeline trains bit-identically to the
-  // synchronous one (DESIGN.md §12; tests/test_pipeline.cpp).
-  std::unique_ptr<data::BatchSource> source;
-  if (config_.prefetch) {
-    source = std::make_unique<data::PrefetchBatcher>(train, config_.batch_size,
-                                                     rng_);
-  } else {
-    source = std::make_unique<data::Batcher>(train, config_.batch_size, rng_);
-  }
-  active_batcher_ = source.get();
+  // The prefetcher forks rng_ exactly once, as a synchronous Batcher would,
+  // so fit() trains bit-identically to a fit_epoch loop over a Batcher
+  // (DESIGN.md §12; tests/test_pipeline.cpp).
+  data::PrefetchBatcher source(train, config_.batch_size, rng_);
+  active_batcher_ = &source;
   cur_epoch_ = 0;
   cur_batch_ = 0;
   loss_sum_ = 0.0;
@@ -371,7 +363,7 @@ TrainResult Trainer::fit(const data::Dataset& train) {
   }
   Stopwatch watch;
   for (std::int64_t epoch = cur_epoch_; epoch < config_.epochs; ++epoch) {
-    const EpochStats stats = fit_epoch(*source, epoch);
+    const EpochStats stats = fit_epoch(source, epoch);
     if (interrupted_) break;
     result.epochs.push_back(stats);
   }

@@ -66,13 +66,6 @@ struct TrainConfig {
 
   std::uint64_t seed = 1;
 
-  /// Async data pipeline (DESIGN.md §12): fit() iterates a PrefetchBatcher
-  /// that gathers batch N+1 on the thread pool while train_batch consumes
-  /// batch N. Bit-identical to the synchronous Batcher (same RNG fork, same
-  /// shuffle stream, checkpoint-exact mid-epoch state). Overridable
-  /// per-process via ZKG_PREFETCH=0/1 (applied in the Trainer constructor).
-  bool prefetch = false;
-
   // --- Fault tolerance (DESIGN.md §11) ---
 
   /// Auto-checkpointing: a non-empty `checkpoint.dir` installs an owned
@@ -174,6 +167,9 @@ class Trainer {
   virtual std::string name() const = 0;
 
   /// Runs config.epochs epochs over `train` (pixels already in [-1, 1]).
+  /// Batches stream through a data::PrefetchBatcher (DESIGN.md §12), which
+  /// gathers batch N+1 on the thread pool while train_batch consumes batch
+  /// N — bit-identical to a fit_epoch loop over a synchronous Batcher.
   /// With config.resume_from set, restores that snapshot first and
   /// continues from its cursor, bit-identical to an uninterrupted run.
   /// Polls ckpt::stop_requested() at batch boundaries; on a stop it fires
@@ -181,7 +177,8 @@ class Trainer {
   TrainResult fit(const data::Dataset& train);
 
   /// Runs exactly one epoch over any batch stream (the synchronous Batcher
-  /// or a PrefetchBatcher); exposed for convergence studies. Fires
+  /// or a PrefetchBatcher); exposed for callers that own their batch
+  /// stream, such as perfbench's deadline-bounded training runs. Fires
   /// on_batch_end/on_epoch_end but not the train begin/end events.
   EpochStats fit_epoch(data::BatchSource& source, std::int64_t epoch_index);
 

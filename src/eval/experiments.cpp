@@ -4,13 +4,10 @@
 #include <cmath>
 #include <sstream>
 
-#include "attacks/bim.hpp"
 #include "attacks/cw.hpp"
 #include "attacks/deepfool.hpp"
-#include "attacks/fgsm.hpp"
 #include "attacks/pgd.hpp"
 #include "common/env.hpp"
-#include "common/logging.hpp"
 #include "data/preprocess.hpp"
 #include "defense/cls.hpp"
 #include "defense/zk_gandef.hpp"
@@ -212,73 +209,37 @@ std::string Table3Result::headline_summary() const {
   return out.str();
 }
 
+namespace {
+
+/// Trains one run_sweep cell per defense on (id, seed) and returns their
+/// rows in `defenses` order; a failed cell throws, since a paper table with
+/// a missing row is not that table.
+std::vector<DefenseRun> sweep_defenses(
+    data::DatasetId id, const std::vector<defense::DefenseId>& defenses,
+    std::uint64_t seed, const SweepOptions& options) {
+  std::vector<SweepCell> cells;
+  cells.reserve(defenses.size());
+  for (const defense::DefenseId defense_id : defenses) {
+    cells.push_back(SweepCell{defense_id, id, seed});
+  }
+  std::vector<DefenseRun> rows;
+  for (const SweepRun& run : run_sweep(cells, options)) {
+    if (!run.ok) {
+      throw Error("sweep cell " + run.name + " failed: " + run.error);
+    }
+    rows.push_back(run.run);
+  }
+  return rows;
+}
+
+}  // namespace
+
 Table3Result run_table3(data::DatasetId id,
                         const std::vector<defense::DefenseId>& defenses,
                         std::uint64_t seed, unsigned jobs) {
-  if (jobs != 1) {
-    // Scheduler-backed path: one job per defense, same RNG derivations as
-    // the serial loop below, rows kept in `defenses` order.
-    std::vector<SweepCell> cells;
-    cells.reserve(defenses.size());
-    for (const defense::DefenseId defense_id : defenses) {
-      cells.push_back(SweepCell{defense_id, id, seed});
-    }
-    SweepOptions options;
-    options.jobs = jobs;
-    const std::vector<SweepRun> sweep = run_sweep(cells, options);
-    Table3Result result;
-    result.dataset = id;
-    for (const SweepRun& run : sweep) {
-      if (!run.ok) {
-        throw Error("run_table3: sweep cell " + run.name +
-                    " failed: " + run.error);
-      }
-      result.rows.push_back(run.run);
-    }
-    return result;
-  }
-
-  const ExperimentScale scale = scale_for(id);
-  Rng data_rng(seed);
-  const PreparedData data = prepare_data(id, scale, data_rng);
-
-  Table3Result result;
-  result.dataset = id;
-  const Evaluator evaluator(scale.eval_batch);
-
-  for (const defense::DefenseId defense_id : defenses) {
-    // Identical initialisation across defenses: same model seed.
-    Rng model_rng(seed ^ 0x6d0de1ULL);
-    models::Classifier model = build_model_for(id, scale, model_rng);
-
-    const defense::TrainConfig config = base_train_config(scale, seed);
-    defense::TrainerPtr trainer =
-        defense::make_trainer(defense_id, model, config);
-
-    log::info() << "[" << data::dataset_name(id) << "] training "
-                << trainer->name();
-    const defense::TrainResult train = trainer->fit(data.train);
-
-    Rng attack_rng(seed ^ 0xa77ac4ULL);
-    attacks::Fgsm fgsm(scale.fgsm);
-    attacks::Bim bim(scale.bim);
-    attacks::Pgd pgd(scale.pgd, attack_rng);
-    std::vector<attacks::Attack*> attack_list{&fgsm, &bim, &pgd};
-    const Evaluation eval = evaluator.evaluate(model, data.test, attack_list);
-
-    DefenseRun run;
-    run.id = defense_id;
-    run.name = defense::defense_name(defense_id);
-    run.acc_original = eval.clean_accuracy;
-    run.acc_fgsm = eval.attack("FGSM").test_accuracy;
-    run.acc_bim = eval.attack("BIM").test_accuracy;
-    run.acc_pgd = eval.attack("PGD").test_accuracy;
-    run.seconds_per_epoch = train.mean_epoch_seconds();
-    run.final_loss = train.final_loss();
-    run.converged = train.converged();
-    result.rows.push_back(std::move(run));
-  }
-  return result;
+  SweepOptions options;
+  options.jobs = jobs;
+  return Table3Result{id, sweep_defenses(id, defenses, seed, options)};
 }
 
 // ----------------------------------------------------------------- Table IV
@@ -324,29 +285,18 @@ Table4Row run_table4(data::DatasetId id, std::uint64_t seed) {
 
 // ------------------------------------------------- Figure 5 (left / middle)
 
-std::vector<TrainingTimeRow> run_training_time(
-    data::DatasetId id, std::uint64_t seed, std::int64_t epochs,
-    defense::TrainObserver* observer) {
-  ExperimentScale scale = scale_for(id);
-  scale.epochs = epochs;
-  Rng data_rng(seed);
-  const PreparedData data = prepare_data(id, scale, data_rng);
-
-  const std::vector<defense::DefenseId> defenses = {
-      defense::DefenseId::kZkGanDef, defense::DefenseId::kFgsmAdv,
-      defense::DefenseId::kPgdAdv, defense::DefenseId::kPgdGanDef};
-
+std::vector<TrainingTimeRow> run_training_time(data::DatasetId id,
+                                               std::uint64_t seed,
+                                               const SweepOptions& options) {
+  SweepOptions train_only = options;
+  train_only.evaluate = false;
   std::vector<TrainingTimeRow> rows;
-  for (const defense::DefenseId defense_id : defenses) {
-    Rng model_rng(seed ^ 0x6d0de1ULL);
-    models::Classifier model = build_model_for(id, scale, model_rng);
-
-    const defense::TrainConfig config = base_train_config(scale, seed);
-    defense::TrainerPtr trainer =
-        defense::make_trainer(defense_id, model, config);
-    if (observer != nullptr) trainer->add_observer(observer);
-    const defense::TrainResult train = trainer->fit(data.train);
-    rows.push_back({trainer->name(), train.mean_epoch_seconds()});
+  for (const DefenseRun& run : sweep_defenses(
+           id,
+           {defense::DefenseId::kZkGanDef, defense::DefenseId::kFgsmAdv,
+            defense::DefenseId::kPgdAdv, defense::DefenseId::kPgdGanDef},
+           seed, train_only)) {
+    rows.push_back({run.name, run.seconds_per_epoch});
   }
   return rows;
 }

@@ -19,6 +19,8 @@
 
 namespace zkg::eval {
 
+struct SweepOptions;  // eval/scheduler.hpp
+
 struct ExperimentScale {
   models::Preset model_preset = models::Preset::kBench;
   std::int64_t train_samples = 1600;
@@ -93,10 +95,10 @@ struct Table3Result {
 };
 
 /// Trains every defense in `defenses` from an identical initial model and
-/// evaluates on original/FGSM/BIM/PGD examples. `jobs` > 1 trains the
-/// defenses concurrently through the experiment scheduler (bit-identical to
-/// the serial path — see eval/scheduler.hpp's isolation contract); 0 uses
-/// the default thread count. Rows come back in `defenses` order either way.
+/// evaluates on original/FGSM/BIM/PGD examples: one run_sweep cell per
+/// defense, `jobs` of them concurrently (1 = serial, 0 = the default thread
+/// count; bit-identical either way — see eval/scheduler.hpp's isolation
+/// contract). Rows come back in `defenses` order; a failed cell throws.
 Table3Result run_table3(data::DatasetId id,
                         const std::vector<defense::DefenseId>& defenses,
                         std::uint64_t seed, unsigned jobs = 1);
@@ -120,12 +122,14 @@ struct TrainingTimeRow {
   double seconds_per_epoch = 0.0;
 };
 
-/// Per-epoch training time of {ZK-GanDef, FGSM-Adv, PGD-Adv, PGD-GanDef}.
-/// When `observer` is non-null it is attached to every trainer, so callers
-/// (e.g. bench_fig5_training_time) can stream structured per-epoch records.
-std::vector<TrainingTimeRow> run_training_time(
-    data::DatasetId id, std::uint64_t seed, std::int64_t epochs = 2,
-    defense::TrainObserver* observer = nullptr);
+/// Per-epoch training time of {ZK-GanDef, FGSM-Adv, PGD-Adv, PGD-GanDef},
+/// rows in that order: one run_sweep cell per defense, trained under
+/// `options` (jobs, epochs, observer, ...) without the attack evaluation.
+/// Concurrent jobs compete for cores, so absolute timings come from
+/// options.jobs == 1. A failed cell throws.
+std::vector<TrainingTimeRow> run_training_time(data::DatasetId id,
+                                               std::uint64_t seed,
+                                               const SweepOptions& options);
 
 // -------------------------------------------------------- Figure 5 (right)
 

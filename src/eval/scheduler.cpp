@@ -8,6 +8,8 @@
 #include "attacks/fgsm.hpp"
 #include "attacks/pgd.hpp"
 #include "ckpt/io.hpp"
+#include "common/env.hpp"
+#include "common/error.hpp"
 #include "common/logging.hpp"
 #include "common/stopwatch.hpp"
 #include "common/threadpool.hpp"
@@ -60,8 +62,8 @@ namespace {
 
 /// The job body shared by every sweep cell: train (optionally resuming a
 /// per-job checkpoint), then evaluate the Table-3 attack grid. Every RNG
-/// stream is derived from cell.seed exactly as the serial Table 3 driver
-/// derives it, so the result is independent of which thread runs the job.
+/// stream is derived from cell.seed alone, so the result is independent of
+/// which thread runs the job.
 void run_cell(const SweepCell& cell, const PreparedData& data,
               const SweepOptions& options, SweepRun& out) {
   ExperimentScale scale = scale_for(cell.dataset);
@@ -72,7 +74,6 @@ void run_cell(const SweepCell& cell, const PreparedData& data,
       build_model_for(cell.dataset, scale, model_rng);
 
   defense::TrainConfig config = base_train_config(scale, cell.seed);
-  config.prefetch = options.prefetch;
   if (!options.checkpoint_root.empty()) {
     config.checkpoint.dir = options.checkpoint_root + "/" + out.name;
     if (options.resume) {
@@ -101,6 +102,7 @@ void run_cell(const SweepCell& cell, const PreparedData& data,
       trainer->add_observer(recorder.get());
     }
   }
+  if (options.observer != nullptr) trainer->add_observer(options.observer);
 
   log::info() << "[sweep] " << out.name << " starting ("
               << scale.epochs << " epochs)";
@@ -138,6 +140,13 @@ void run_cell(const SweepCell& cell, const PreparedData& data,
 
 std::vector<SweepRun> run_sweep(const std::vector<SweepCell>& cells,
                                 const SweepOptions& options) {
+  if (options.jobs != 1 && cells.size() > 1 &&
+      !env_or("ZKG_CKPT_DIR", "").empty()) {
+    throw ConfigError(
+        "run_sweep: ZKG_CKPT_DIR points every concurrent job at one "
+        "checkpoint directory; unset it and use "
+        "SweepOptions::checkpoint_root, or run with jobs = 1");
+  }
   // Prepare each distinct (dataset, seed) pair once, serially — the exact
   // tensors a serial run would prepare — and share them read-only.
   std::map<std::pair<data::DatasetId, std::uint64_t>, PreparedData> datasets;

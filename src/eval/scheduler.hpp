@@ -1,7 +1,9 @@
 // Parallel experiment scheduler (DESIGN.md §12): runs independent training
 // jobs concurrently on a dedicated zkg::ThreadPool so sweep-scale
 // experiments (Table 3/4 across defenses, datasets and seeds) saturate the
-// machine instead of training one model at a time.
+// machine instead of training one model at a time. Table III and Figure 5
+// (eval::run_table3 / run_training_time) run only through run_sweep; its
+// jobs == 1 setting is their serial reference.
 //
 // Isolation contract — why concurrent jobs reproduce serial runs bit-for-bit:
 //  * RNG: every stream a job consumes (data, model init, trainer, attacks)
@@ -14,15 +16,18 @@
 //  * Checkpointing: each job writes crash-safe snapshots into its own
 //    directory (<checkpoint_root>/<job-name>) and, when `resume` is set,
 //    picks its newest loadable snapshot back up — an interrupted sweep
-//    restarts where every job left off.
+//    restarts where every job left off. The process-wide ZKG_CKPT_DIR
+//    override would collapse those directories into one, so run_sweep
+//    rejects it for concurrent sweeps.
 //  * Shared state: the BufferPool and the kernel-level parallel_for layer
 //    are thread-safe, and recycled buffers never influence results (the
 //    PR 2 dirty-buffer invariant), so jobs share them freely.
 //
 // Jobs run on their own pool; kernels inside each job keep using the
-// process-wide zkg::parallel_for backend, and PrefetchBatcher fill tasks
-// keep using ThreadPool::shared(). Keeping the job pool separate means a
-// long-running job can never starve the short tasks those layers submit.
+// process-wide zkg::parallel_for backend, and the PrefetchBatcher fill
+// tasks of every Trainer::fit keep using ThreadPool::shared(). Keeping the
+// job pool separate means a long-running job can never starve the short
+// tasks those layers submit.
 #pragma once
 
 #include <cstdint>
@@ -69,11 +74,15 @@ struct SweepOptions {
   unsigned jobs = 0;            // concurrent jobs; 0 = default thread count
   std::int64_t epochs = 0;      // > 0 overrides the scale's epoch count
   bool evaluate = true;         // run the Table-3 attack grid after training
-  bool prefetch = false;        // train through the PrefetchBatcher pipeline
   bool keep_params = false;     // snapshot final weights into the result
   std::string checkpoint_root;  // per-job dirs under here; "" disables
   bool resume = true;           // pick up an existing per-job checkpoint
   std::string telemetry_dir;    // per-job JSONL records; "" disables
+  /// Non-owning; attached to every cell's trainer after the per-job
+  /// telemetry observers. Its callbacks run on each job's thread, so with
+  /// jobs != 1 it must tolerate concurrent calls (bench_fig5_training_time
+  /// attaches its JSONL recorder only at jobs == 1).
+  defense::TrainObserver* observer = nullptr;
 };
 
 struct SweepRun {
@@ -95,7 +104,10 @@ std::string sweep_cell_name(const SweepCell& cell);
 /// above). Results are returned in cell order regardless of completion
 /// order. Datasets are prepared once per distinct (dataset, seed) pair —
 /// exactly the tensors a serial run would prepare — and shared read-only
-/// across jobs.
+/// across jobs. Throws zkg::ConfigError when ZKG_CKPT_DIR is set and more
+/// than one cell may run concurrently: that override replaces every job's
+/// checkpoint directory with the same one, where concurrent jobs would
+/// overwrite and rotate away each other's snapshots.
 std::vector<SweepRun> run_sweep(const std::vector<SweepCell>& cells,
                                 const SweepOptions& options = {});
 

@@ -23,6 +23,7 @@
 #include "defense/registry.hpp"
 #include "defense/vanilla.hpp"
 #include "defense/zk_gandef.hpp"
+#include "eval/experiments.hpp"
 #include "eval/scheduler.hpp"
 #include "models/lenet.hpp"
 #include "tensor/backend/backend.hpp"
@@ -198,9 +199,27 @@ TEST(PrefetchBatcher, FillFaultSurfacesOnTheConsumerAndStaysResumable) {
   expect_batches_identical(prefetch, sync, /*epochs=*/2);
 }
 
-// Trained weights through config.prefetch must match the synchronous path
-// bitwise — the end-to-end statement of the pipeline contract, for a plain
-// defense, a noise-stream defense and the GAN defense.
+// fit() streams through a PrefetchBatcher; its trained weights must match a
+// fit_epoch loop over the synchronous Batcher bitwise — the end-to-end
+// statement of the pipeline contract, for a plain defense, a noise-stream
+// defense and the GAN defense. The subclass reaches the trainer's own rng_
+// so the reference Batcher takes exactly the fork fit() would.
+template <typename TrainerT>
+class SyncReferenceTrainer : public TrainerT {
+ public:
+  using TrainerT::TrainerT;
+
+  std::vector<defense::EpochStats> fit_synchronously(
+      const data::Dataset& train) {
+    data::Batcher batcher(train, this->config_.batch_size, this->rng_);
+    std::vector<defense::EpochStats> epochs;
+    for (std::int64_t e = 0; e < this->config_.epochs; ++e) {
+      epochs.push_back(this->fit_epoch(batcher, e));
+    }
+    return epochs;
+  }
+};
+
 template <typename TrainerT>
 void run_prefetch_parity_case(std::int64_t epochs) {
   const data::Dataset train = small_train_set();
@@ -210,19 +229,18 @@ void run_prefetch_parity_case(std::int64_t epochs) {
   config.gamma = 0.05f;
 
   models::Classifier sync_model = fresh_model();
-  TrainerT sync_trainer(sync_model, config);
-  const defense::TrainResult sync_result = sync_trainer.fit(train);
+  SyncReferenceTrainer<TrainerT> sync_trainer(sync_model, config);
+  const std::vector<defense::EpochStats> sync_epochs =
+      sync_trainer.fit_synchronously(train);
 
-  defense::TrainConfig prefetch_config = config;
-  prefetch_config.prefetch = true;
   models::Classifier pre_model = fresh_model();
-  TrainerT pre_trainer(pre_model, prefetch_config);
+  TrainerT pre_trainer(pre_model, config);
   const defense::TrainResult pre_result = pre_trainer.fit(train);
 
-  ASSERT_EQ(pre_result.epochs.size(), sync_result.epochs.size());
-  for (std::size_t i = 0; i < pre_result.epochs.size(); ++i) {
+  ASSERT_EQ(pre_result.epochs.size(), sync_epochs.size());
+  for (std::size_t i = 0; i < sync_epochs.size(); ++i) {
     EXPECT_EQ(pre_result.epochs[i].classifier_loss,
-              sync_result.epochs[i].classifier_loss)
+              sync_epochs[i].classifier_loss)
         << "epoch " << i;
   }
   expect_params_identical(params_of(pre_model), params_of(sync_model));
@@ -254,8 +272,7 @@ class StopAfter : public defense::TrainObserver {
 };
 
 // Mid-epoch checkpoint + resume THROUGH the prefetch pipeline: interrupt a
-// prefetching run mid-epoch, resume it (still prefetching), and land on the
-// uninterrupted synchronous reference bit-for-bit.
+// run mid-epoch, resume it, and land on the uninterrupted run bit-for-bit.
 TEST(PrefetchTraining, MidEpochInterruptResumeIsBitIdentical) {
   const data::Dataset train = small_train_set();  // 192/32 = 6 batches/epoch
   defense::TrainConfig config;
@@ -268,7 +285,6 @@ TEST(PrefetchTraining, MidEpochInterruptResumeIsBitIdentical) {
 
   TempDir dir("prefetch_resume");
   defense::TrainConfig interrupted_config = config;
-  interrupted_config.prefetch = true;
   interrupted_config.checkpoint.dir = dir.path();
   models::Classifier mid_model = fresh_model();
   {
@@ -331,11 +347,13 @@ class SweepTest : public ::testing::Test {
   void TearDown() override {
     unsetenv("ZKG_TRAIN");
     unsetenv("ZKG_TEST");
+    unsetenv("ZKG_EPOCHS");
+    unsetenv("ZKG_CKPT_DIR");
   }
 };
 
-// Concurrency must not change results: a 4-job prefetching sweep trains the
-// exact weights of the serial synchronous sweep, cell by cell.
+// Concurrency must not change results: a 4-job sweep trains the exact
+// weights of the serial sweep, cell by cell.
 TEST_F(SweepTest, ConcurrentSweepMatchesSerialBitwise) {
   const std::uint64_t seed = 20190417;
   std::vector<eval::SweepCell> cells;
@@ -352,7 +370,6 @@ TEST_F(SweepTest, ConcurrentSweepMatchesSerialBitwise) {
   serial_opts.keep_params = true;
   eval::SweepOptions parallel_opts = serial_opts;
   parallel_opts.jobs = 4;
-  parallel_opts.prefetch = true;
 
   const std::vector<eval::SweepRun> serial =
       eval::run_sweep(cells, serial_opts);
@@ -405,6 +422,108 @@ TEST_F(SweepTest, SweepWritesAndResumesPerJobCheckpoints) {
     ASSERT_EQ(second[i].train.epochs.size(), first[i].train.epochs.size());
     EXPECT_EQ(second[i].train.final_loss(), first[i].train.final_loss());
     expect_params_identical(second[i].final_params, first[i].final_params);
+  }
+}
+
+// ZKG_CKPT_DIR overrides every trainer's checkpoint directory, so concurrent
+// cells would write and rotate the same snapshot files: run_sweep refuses it
+// unless at most one cell runs at a time.
+TEST_F(SweepTest, CheckpointDirOverrideRejectsConcurrentSweeps) {
+  const std::uint64_t seed = 20190417;
+  const std::vector<eval::SweepCell> cells = {
+      {defense::DefenseId::kVanilla, data::DatasetId::kDigits, seed},
+      {defense::DefenseId::kCls, data::DatasetId::kDigits, seed},
+  };
+  TempDir dir("sweep_env_ckpt");
+  setenv("ZKG_CKPT_DIR", dir.path().c_str(), 1);
+
+  eval::SweepOptions options;
+  options.epochs = 1;
+  options.evaluate = false;
+  for (const unsigned jobs : {0u, 2u}) {
+    options.jobs = jobs;
+    try {
+      eval::run_sweep(cells, options);
+      ADD_FAILURE() << "jobs=" << jobs << ": expected a ConfigError";
+    } catch (const ConfigError& error) {
+      EXPECT_NE(std::string(error.what()).find("ZKG_CKPT_DIR"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+  // One job at a time, or a single cell, keeps the override usable.
+  options.jobs = 1;
+  for (const eval::SweepRun& run : eval::run_sweep(cells, options)) {
+    EXPECT_TRUE(run.ok) << run.name << ": " << run.error;
+  }
+  options.jobs = 2;
+  for (const eval::SweepRun& run : eval::run_sweep({cells[0]}, options)) {
+    EXPECT_TRUE(run.ok) << run.name << ": " << run.error;
+  }
+}
+
+// The Table III driver is one sweep: rows come back in `defenses` order
+// with the same accuracies whether the cells run serially or concurrently.
+TEST_F(SweepTest, Table3RowsMatchAcrossJobCounts) {
+  setenv("ZKG_EPOCHS", "1", 1);
+  const std::vector<defense::DefenseId> defenses = {
+      defense::DefenseId::kVanilla, defense::DefenseId::kCls};
+  const eval::Table3Result serial =
+      eval::run_table3(data::DatasetId::kDigits, defenses, 20190417, 1);
+  const eval::Table3Result parallel =
+      eval::run_table3(data::DatasetId::kDigits, defenses, 20190417, 2);
+
+  for (const eval::Table3Result* result : {&serial, &parallel}) {
+    EXPECT_EQ(result->dataset, data::DatasetId::kDigits);
+    ASSERT_EQ(result->rows.size(), defenses.size());
+    for (std::size_t i = 0; i < defenses.size(); ++i) {
+      EXPECT_EQ(result->rows[i].id, defenses[i]);
+      EXPECT_EQ(result->rows[i].name, defense::defense_name(defenses[i]));
+    }
+  }
+  for (std::size_t i = 0; i < defenses.size(); ++i) {
+    const eval::DefenseRun& s = serial.rows[i];
+    const eval::DefenseRun& p = parallel.rows[i];
+    EXPECT_EQ(p.acc_original, s.acc_original) << s.name;
+    EXPECT_EQ(p.acc_fgsm, s.acc_fgsm) << s.name;
+    EXPECT_EQ(p.acc_bim, s.acc_bim) << s.name;
+    EXPECT_EQ(p.acc_pgd, s.acc_pgd) << s.name;
+    EXPECT_EQ(p.final_loss, s.final_loss) << s.name;
+  }
+}
+
+/// Counts trainings begun and epochs finished; safe under concurrent jobs.
+class CountingObserver : public defense::TrainObserver {
+ public:
+  void on_train_begin(const defense::Trainer&) override { begins.fetch_add(1); }
+  void on_epoch_end(const defense::Trainer&,
+                    const defense::EpochStats&) override {
+    epochs.fetch_add(1);
+  }
+  std::atomic<int> begins{0};
+  std::atomic<int> epochs{0};
+};
+
+// The Figure 5 driver trains its four defenses as one sweep, in the figure's
+// order, and attaches SweepOptions::observer to every cell's trainer.
+TEST_F(SweepTest, TrainingTimeRowsMatchAcrossJobCounts) {
+  setenv("ZKG_EPOCHS", "1", 1);
+  const std::vector<std::string> expected = {"ZK-GanDef", "FGSM-Adv",
+                                             "PGD-Adv", "PGD-GanDef"};
+  for (const unsigned jobs : {1u, 2u}) {
+    CountingObserver observer;
+    eval::SweepOptions options;
+    options.jobs = jobs;
+    options.observer = &observer;
+    const std::vector<eval::TrainingTimeRow> rows =
+        eval::run_training_time(data::DatasetId::kDigits, 20190417, options);
+    ASSERT_EQ(rows.size(), expected.size()) << "jobs=" << jobs;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(rows[i].defense, expected[i]) << "jobs=" << jobs;
+      EXPECT_GT(rows[i].seconds_per_epoch, 0.0) << rows[i].defense;
+    }
+    EXPECT_EQ(observer.begins.load(), 4) << "jobs=" << jobs;
+    EXPECT_EQ(observer.epochs.load(), 4) << "jobs=" << jobs;
   }
 }
 
