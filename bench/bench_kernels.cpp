@@ -1,5 +1,6 @@
 // google-benchmark micro-benchmarks for the hot kernels: GEMM variants,
-// im2col convolution, softmax/CE, and a full attack step. Not part of the
+// the bench allCNN's conv layers, softmax/CE, and a full attack step. Not
+// part of the
 // paper; engineering validation of the substrate. main() first prints a
 // per-kernel backend report — serial vs parallel vs SIMD wall-clock,
 // GFLOP/s, effective GB/s and arithmetic intensity (the roofline
@@ -96,32 +97,42 @@ void BM_MatmulNT(benchmark::State& state) {
 }
 BENCHMARK(BM_MatmulNT)->Arg(64)->Arg(256);
 
-void BM_Im2Col(benchmark::State& state) {
-  const auto batch = state.range(0);
-  Rng rng(3);
-  const nn::Conv2dConfig cfg{.in_channels = 3, .out_channels = 16,
-                             .kernel = 3, .stride = 1, .padding = 1};
-  const Tensor x = randn({batch, 3, 32, 32}, rng);
-  Tensor cols;
-  for (auto _ : state) {
-    nn::im2col_into(cols, x, cfg);
-    benchmark::DoNotOptimize(cols.data());
-    benchmark::ClobberMemory();
-  }
-}
-BENCHMARK(BM_Im2Col)->Arg(1)->Arg(16)->Arg(64);
+// The five conv layers of the bench allCNN on a batch-64 synth-objects
+// input (3x32x32), as [in, out, kernel, stride, padding, input size].
+struct ConvLayerShape {
+  std::int64_t in, out, kernel, stride, padding, size;
+};
+constexpr ConvLayerShape kAllCnnLayers[] = {
+    {3, 16, 3, 1, 1, 32},  {16, 16, 3, 2, 1, 32}, {16, 32, 3, 1, 1, 16},
+    {32, 32, 3, 2, 1, 16}, {32, 10, 1, 1, 0, 8},
+};
+constexpr std::int64_t kConvBatch = 64;
 
-void BM_ConvForwardBackward(benchmark::State& state) {
-  const auto batch = state.range(0);
+/// Flops of one pass (forward, dX or dW) of `conv` over a batch of
+/// `batch` images of side `size`: 2 * B * S * OC * K.
+double conv_pass_flops(const nn::Conv2d& conv, std::int64_t batch,
+                       std::int64_t size) {
+  const nn::Conv2dConfig& cfg = conv.config();
+  const double side = static_cast<double>(conv.out_size(size));
+  return 2.0 * static_cast<double>(batch) * side * side *
+         static_cast<double>(cfg.out_channels * cfg.in_channels *
+                             cfg.kernel * cfg.kernel);
+}
+
+// Forward + backward (dX, dW, db) of bench-allCNN layer <i>; the GFLOP/s
+// counter covers the three passes.
+void BM_ConvLayer(benchmark::State& state) {
+  const ConvLayerShape& shape =
+      kAllCnnLayers[static_cast<std::size_t>(state.range(0))];
   Rng rng(4);
-  nn::Conv2d conv({.in_channels = 3, .out_channels = 16, .kernel = 3,
-                   .stride = 1, .padding = 1},
+  nn::Conv2d conv({shape.in, shape.out, shape.kernel, shape.stride,
+                   shape.padding},
                   rng);
-  const Tensor x = randn({batch, 3, 32, 32}, rng);
+  const Tensor x = randn({kConvBatch, shape.in, shape.size, shape.size}, rng);
   Tensor y;
   Tensor grad_x;
   conv.forward_into(x, y, true);
-  const Tensor grad_y(y.shape(), 1.0f);
+  const Tensor grad_y = randn(y.shape(), rng);
   for (auto _ : state) {
     conv.forward_into(x, y, true);
     conv.backward_into(grad_y, grad_x);
@@ -129,8 +140,11 @@ void BM_ConvForwardBackward(benchmark::State& state) {
     benchmark::ClobberMemory();
     conv.zero_grad();
   }
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      3.0 * conv_pass_flops(conv, kConvBatch, shape.size) * 1e-9,
+      benchmark::Counter::kIsIterationInvariantRate);
 }
-BENCHMARK(BM_ConvForwardBackward)->Arg(16)->Arg(64);
+BENCHMARK(BM_ConvLayer)->DenseRange(0, 4);
 
 void BM_SoftmaxCrossEntropy(benchmark::State& state) {
   const auto batch = state.range(0);
@@ -269,6 +283,23 @@ void report_kernel_performance() {
 
   Tensor c, y, w, sm;  // persistent destinations: steady state, no allocs
 
+  // Bench-allCNN layer 2 (16 -> 32, 3x3 on 16x16) at batch 64, one row per
+  // backend conv entry, called directly so each pass is timed alone.
+  const ConvLayerShape& layer = kAllCnnLayers[2];
+  nn::Conv2d conv({layer.in, layer.out, layer.kernel, layer.stride,
+                   layer.padding},
+                  rng);
+  const Tensor conv_x = randn({kConvBatch, layer.in, layer.size, layer.size},
+                              rng);
+  const backend::ConvShape conv_shape = conv.conv_shape(conv_x.shape());
+  const Tensor conv_dy = randn(
+      {kConvBatch, layer.out, conv_shape.spatial}, rng);
+  const float* conv_w = conv.weight().value().data();
+  Tensor conv_y(conv_dy.shape());
+  Tensor conv_dx(conv_x.shape());
+  Tensor conv_dw(conv.weight().value().shape());
+  Tensor conv_db(conv.bias().value().shape());
+
   const double n3 = static_cast<double>(n) * n * n;
   const double n2 = static_cast<double>(n) * n;
   const double gemm_bytes = 4.0 * 3.0 * n2;
@@ -290,6 +321,27 @@ void report_kernel_performance() {
   cases.push_back({"clamp_1m", static_cast<double>(big),
                    4.0 * 2.0 * static_cast<double>(big),
                    [&] { clamp_into(w, u, -1.0f, 1.0f); }});
+  const double conv_flops = conv_pass_flops(conv, kConvBatch, layer.size);
+  const double x_bytes = 4.0 * static_cast<double>(conv_x.numel());
+  const double y_bytes = 4.0 * static_cast<double>(conv_y.numel());
+  const double w_bytes = 4.0 * static_cast<double>(conv_dw.numel());
+  cases.push_back({"conv_fwd_l2", conv_flops, x_bytes + w_bytes + y_bytes,
+                   [&] {
+                     backend::active().conv_forward(
+                         conv_y.data(), conv_x.data(), conv_w,
+                         conv.bias().value().data(), conv_shape);
+                   }});
+  cases.push_back({"conv_dx_l2", conv_flops, y_bytes + w_bytes + x_bytes,
+                   [&] {
+                     backend::active().conv_backward_input(
+                         conv_dx.data(), conv_dy.data(), conv_w, conv_shape);
+                   }});
+  cases.push_back({"conv_dw_l2", conv_flops, y_bytes + x_bytes + w_bytes,
+                   [&] {
+                     backend::active().conv_backward_params(
+                         conv_dw.data(), conv_db.data(), conv_dy.data(),
+                         conv_x.data(), conv_shape);
+                   }});
   // ~6 flops/element once exp is counted as one: max, sub, exp, sum, div.
   cases.push_back({"softmax_1024x64", 6.0 * 1024.0 * 64.0,
                    4.0 * 2.0 * 1024.0 * 64.0,
@@ -337,8 +389,8 @@ void report_kernel_performance() {
   }
   std::printf(
       "\nroofline: kernels left of the machine's flop/byte balance point are"
-      " bandwidth-bound\n(elementwise, col_sum); the packed GEMM"
-      " sits far right and is compute-bound.\n\n");
+      " bandwidth-bound\n(elementwise, col_sum); the packed GEMM and the"
+      " conv passes sit far right and are\ncompute-bound.\n\n");
 
   const std::string json_path = env_or("ZKG_BENCH_JSON", "BENCH_kernels.json");
   if (!json_path.empty()) {

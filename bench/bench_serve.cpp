@@ -17,8 +17,8 @@
 // streams every weight matrix once PER REQUEST (arithmetic intensity
 // ~1 FLOP/byte, and an M=1 GEMM wastes the packed microkernel's row
 // tile), while a batch-B forward streams them once per batch. `lenet`
-// is the compute-bound contrast: conv im2col GEMMs already have
-// M = out_h*out_w rows at batch 1, so per-request cost is nearly linear
+// is the compute-bound contrast: its implicit-GEMM convs already span
+// out_h*out_w output positions at batch 1, so per-request cost is nearly linear
 // in batch and the speedup is modest on a single core (it reappears on
 // multi-core, where one batch forward fans out across cores that batch-1
 // requests can't use).

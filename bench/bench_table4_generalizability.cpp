@@ -5,7 +5,8 @@
 //
 // ZKG_JOBS=<n> runs the three dataset columns as concurrent scheduler jobs
 // (each column trains and evaluates its own model from its own seed-derived
-// RNG streams, so results match the serial order exactly).
+// RNG streams, so results match the serial order exactly). Concurrent jobs
+// refuse ZKG_CKPT_DIR, which would point all three at one directory.
 #include <iostream>
 
 #include "common/env.hpp"
@@ -23,6 +24,8 @@ int main() {
   const std::vector<data::DatasetId> datasets = {data::DatasetId::kDigits,
                                                  data::DatasetId::kFashion,
                                                  data::DatasetId::kObjects};
+  eval::require_private_checkpoint_dirs(datasets.size(), jobs,
+                                        "bench_table4_generalizability");
   std::vector<eval::Table4Row> rows(datasets.size());
   std::vector<eval::Job> work;
   work.reserve(datasets.size());

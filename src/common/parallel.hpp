@@ -1,5 +1,5 @@
 // zkg::parallel_for — the single parallel execution entry point for every
-// hot kernel (GEMM variants, im2col/col2im, layout reorders, BatchNorm).
+// hot kernel (GEMM variants, the conv passes, BatchNorm).
 //
 // The engine is the in-tree zkg::ThreadPool (ThreadPool::shared(), sized
 // by the ZKG_THREADS environment variable): the range [0, count) is split

@@ -138,15 +138,22 @@ void run_cell(const SweepCell& cell, const PreparedData& data,
 
 }  // namespace
 
-std::vector<SweepRun> run_sweep(const std::vector<SweepCell>& cells,
-                                const SweepOptions& options) {
-  if (options.jobs != 1 && cells.size() > 1 &&
+void require_private_checkpoint_dirs(std::size_t job_count,
+                                     unsigned concurrency,
+                                     const std::string& caller) {
+  if (concurrency != 1 && job_count > 1 &&
       !env_or("ZKG_CKPT_DIR", "").empty()) {
     throw ConfigError(
-        "run_sweep: ZKG_CKPT_DIR points every concurrent job at one "
-        "checkpoint directory; unset it and use "
-        "SweepOptions::checkpoint_root, or run with jobs = 1");
+        caller +
+        ": ZKG_CKPT_DIR points every concurrent job at one checkpoint "
+        "directory; unset it and use SweepOptions::checkpoint_root, or run "
+        "with jobs = 1");
   }
+}
+
+std::vector<SweepRun> run_sweep(const std::vector<SweepCell>& cells,
+                                const SweepOptions& options) {
+  require_private_checkpoint_dirs(cells.size(), options.jobs, "run_sweep");
   // Prepare each distinct (dataset, seed) pair once, serially — the exact
   // tensors a serial run would prepare — and share them read-only.
   std::map<std::pair<data::DatasetId, std::uint64_t>, PreparedData> datasets;

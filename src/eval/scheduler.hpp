@@ -17,8 +17,9 @@
 //    directory (<checkpoint_root>/<job-name>) and, when `resume` is set,
 //    picks its newest loadable snapshot back up — an interrupted sweep
 //    restarts where every job left off. The process-wide ZKG_CKPT_DIR
-//    override would collapse those directories into one, so run_sweep
-//    rejects it for concurrent sweeps.
+//    override would collapse those directories into one, so concurrent
+//    training jobs reject it (require_private_checkpoint_dirs: run_sweep
+//    and the Table IV bench call it).
 //  * Shared state: the BufferPool and the kernel-level parallel_for layer
 //    are thread-safe, and recycled buffers never influence results (the
 //    PR 2 dirty-buffer invariant), so jobs share them freely.
@@ -30,6 +31,7 @@
 // tasks those layers submit.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -60,6 +62,16 @@ struct JobOutcome {
 /// compare against.
 std::vector<JobOutcome> run_jobs(const std::vector<Job>& jobs,
                                  unsigned concurrency);
+
+/// Throws zkg::ConfigError naming `caller` when ZKG_CKPT_DIR is set and
+/// more than one of `job_count` training jobs may run at once under
+/// `concurrency` (as run_jobs reads it). That override replaces every
+/// trainer's checkpoint directory with the same one, where concurrent jobs
+/// would overwrite and rotate away each other's snapshots. Call it before
+/// queueing training jobs on run_jobs; run_sweep does.
+void require_private_checkpoint_dirs(std::size_t job_count,
+                                     unsigned concurrency,
+                                     const std::string& caller);
 
 // ------------------------------------------------------- training sweeps
 
@@ -105,9 +117,7 @@ std::string sweep_cell_name(const SweepCell& cell);
 /// order. Datasets are prepared once per distinct (dataset, seed) pair —
 /// exactly the tensors a serial run would prepare — and shared read-only
 /// across jobs. Throws zkg::ConfigError when ZKG_CKPT_DIR is set and more
-/// than one cell may run concurrently: that override replaces every job's
-/// checkpoint directory with the same one, where concurrent jobs would
-/// overwrite and rotate away each other's snapshots.
+/// than one cell may run concurrently (require_private_checkpoint_dirs).
 std::vector<SweepRun> run_sweep(const std::vector<SweepCell>& cells,
                                 const SweepOptions& options = {});
 

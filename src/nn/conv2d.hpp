@@ -1,8 +1,14 @@
-// 2-D convolution over [B, C, H, W] tensors, implemented via im2col + GEMM.
+// 2-D convolution over [B, C, H, W] tensors, run as an implicit GEMM: the
+// kernel backend gathers each patch straight from the NCHW input through a
+// per-image offset table and writes the NCHW output directly.
 #pragma once
+
+#include <cstdint>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "nn/module.hpp"
+#include "tensor/backend/backend.hpp"
 
 namespace zkg::nn {
 
@@ -13,13 +19,6 @@ struct Conv2dConfig {
   std::int64_t stride = 1;
   std::int64_t padding = 0;
 };
-
-/// Lowers `input` [B,C,H,W] into patch-matrix [B*OH*OW, C*K*K].
-void im2col_into(Tensor& cols, const Tensor& input, const Conv2dConfig& cfg);
-
-/// Adjoint of im2col: scatters `cols` back into an image-shaped gradient.
-void col2im_into(Tensor& image, const Tensor& cols, const Shape& input_shape,
-                 const Conv2dConfig& cfg);
 
 class Conv2d : public Module {
  public:
@@ -36,17 +35,23 @@ class Conv2d : public Module {
   Parameter& weight() { return weight_; }
   Parameter& bias() { return bias_; }
 
+  /// The backend view of a convolution over `input_shape` [B, C, H, W].
+  /// The patch offset table is rebuilt only when H or W change, so a new
+  /// batch size costs nothing; `offsets` stays valid until a call with
+  /// another spatial size.
+  backend::ConvShape conv_shape(const Shape& input_shape);
+
  private:
   Conv2dConfig cfg_;
   Parameter weight_;  // [OC, C*K*K]
   Parameter bias_;    // [OC]
-  Tensor cached_cols_;
-  Shape cached_input_shape_;
-  // Persistent scratch reused across steps so the im2col/GEMM pipeline runs
-  // allocation-free at steady state.
-  Tensor flat_;
-  Tensor grad_flat_;
-  Tensor grad_cols_;
+  Tensor cached_input_;  // the last forward input, read by backward
+  // [OH*OW, C*K*K] patch offsets for inputs of offsets_h_ x offsets_w_.
+  std::vector<std::int32_t> offsets_;
+  std::int64_t offsets_h_ = 0;
+  std::int64_t offsets_w_ = 0;
+  // Persistent gradient scratch, so backward runs allocation-free at
+  // steady state.
   Tensor grad_w_scratch_;
   Tensor grad_b_scratch_;
 };

@@ -16,9 +16,9 @@
 // the operational pattern the paper's intro motivates for spam filtering /
 // face recognition front-ends) and scatters per-request results back to
 // the waiting futures. Batching is where the throughput comes from: a
-// batch-B GEMM amortizes kernel dispatch, im2col and parallel_for fan-out
-// over B requests, so per-request cost collapses vs batch-1 serving (see
-// bench/bench_serve.cpp).
+// batch-B forward amortizes kernel dispatch, weight packing and
+// parallel_for fan-out over B requests, so per-request cost collapses vs
+// batch-1 serving (see bench/bench_serve.cpp).
 //
 // Admission control: the pending queue is bounded. A submit that finds
 // config.max_queue requests already waiting — or, with max_wait_s set, an

@@ -16,6 +16,12 @@
 // The three GEMM variants (NN, NT, TN) share one strided driver: packing
 // absorbs the transposes, so no operand is ever materialised transposed.
 //
+// Convolution runs the same microkernel as an implicit GEMM: operands are
+// gathered straight from the NCHW tensors through the layer's patch
+// offset table, so no patch matrix or reordered copy is ever built. dW
+// splits its (b, s) depth into KC blocks computed in parallel and folded
+// in block order (DESIGN.md §13).
+//
 // Elementwise/activation kernels are straightforward 8-lane loops chosen
 // to match the scalar backend's arithmetic exactly (one rounding per
 // element, no reassociation): add/sub/mul, axpy, the fused
@@ -140,6 +146,18 @@ void micro_edge(std::int64_t kcnt, const float* aslab, const float* bslab,
   }
 }
 
+/// One register tile of C: the full microkernel, or micro_edge when the
+/// tile is ragged.
+void micro_tile(std::int64_t kcnt, const float* aslab, const float* bslab,
+                float* c, std::int64_t ldc, std::int64_t mr, std::int64_t nr,
+                bool accumulate) {
+  if (mr == kMR && nr == kNR) {
+    micro_6x16(kcnt, aslab, bslab, c, ldc, accumulate);
+  } else {
+    micro_edge(kcnt, aslab, bslab, c, ldc, mr, nr, accumulate);
+  }
+}
+
 /// The calling thread's packed-A scratch: one MC x KC block (96 KiB),
 /// allocated on the thread's first GEMM and reused for its lifetime. It is
 /// per-thread rather than pooled so the BufferPool's steady state does not
@@ -186,11 +204,7 @@ void gemm_strided(float* c, std::int64_t m, std::int64_t k, std::int64_t n,
               const std::int64_t mr = std::min(kMR, mc - ir);
               const float* aslab = apanel + ir * kcnt;
               float* ctile = c + (i0 + ir) * n + (jc + jr);
-              if (mr == kMR && nr == kNR) {
-                micro_6x16(kcnt, aslab, bslab, ctile, n, accumulate);
-              } else {
-                micro_edge(kcnt, aslab, bslab, ctile, n, mr, nr, accumulate);
-              }
+              micro_tile(kcnt, aslab, bslab, ctile, n, mr, nr, accumulate);
             }
           }
         }
@@ -218,6 +232,254 @@ void matmul_tn(float* c, const float* a, const float* b, std::int64_t m,
   // A arrives as [k, m]; packing reads it transposed.
   gemm_strided(c, m, k, n, a, /*a_ri=*/1, /*a_rk=*/m, b, /*b_rk=*/n,
                /*b_cj=*/1);
+}
+
+// ---- convolution: implicit GEMM over the NCHW tensors ----
+//
+// Each pass drives micro_6x16 on operands gathered straight from NCHW
+// through the patch offset table, and keeps the patch-matrix GEMM's
+// accumulation order: every output element is the same FMA chain over the
+// depth in the same kKC blocks (the product commutes, so which operand is
+// A does not matter), so results are bit-identical to the lowered form.
+
+std::int64_t round_up(std::int64_t n, std::int64_t to) {
+  return (n + to - 1) / to * to;
+}
+
+/// The calling thread's dX tile: kMC positions x K, grown on demand and
+/// kept for the thread's lifetime, like a_panel_scratch.
+float* tile_scratch(std::int64_t n) {
+  thread_local FloatBuffer tile;
+  if (tile.size() < static_cast<std::size_t>(n)) {
+    tile.resize(static_cast<std::size_t>(n));
+  }
+  return tile.data();
+}
+
+/// Forward B slab: depth [kc, kc+kcnt) x positions [s0, s0+nr) of one
+/// image into dst[kk*NR + j], zero for padding and for columns j >= nr.
+void gather_positions(float* dst, const float* image,
+                      const std::int32_t* offsets, std::int64_t k,
+                      std::int64_t s0, std::int64_t nr, std::int64_t kc,
+                      std::int64_t kcnt) {
+  for (std::int64_t j = 0; j < kNR; ++j) {
+    if (j >= nr) {
+      for (std::int64_t kk = 0; kk < kcnt; ++kk) dst[kk * kNR + j] = 0.0f;
+      continue;
+    }
+    const std::int32_t* row = offsets + (s0 + j) * k + kc;
+    for (std::int64_t kk = 0; kk < kcnt; ++kk) {
+      dst[kk * kNR + j] = row[kk] >= 0 ? image[row[kk]] : 0.0f;
+    }
+  }
+}
+
+void conv_forward(float* y, const float* x, const float* w, const float* bias,
+                  const ConvShape& shape) {
+  const std::int64_t oc = shape.out_channels;
+  const std::int64_t s = shape.spatial;
+  const std::int64_t k = shape.patch;
+  // W is the A operand, packed once: kc block `kc` starts at oc_pad * kc.
+  const std::int64_t oc_pad = round_up(oc, kMR);
+  BufferPool& pool = BufferPool::global();
+  FloatBuffer wpack = pool.acquire(static_cast<std::size_t>(oc_pad * k));
+  for (std::int64_t kc = 0; kc < k; kc += kKC) {
+    pack_a(wpack.data() + oc_pad * kc, w, /*ri=*/k, /*rk=*/1, /*i0=*/0, oc,
+           kc, std::min(kKC, k - kc));
+  }
+  parallel_for(shape.batch, 1, [&](std::int64_t b0, std::int64_t b1) {
+    alignas(64) float bslab[kKC * kNR];
+    for (std::int64_t b = b0; b < b1; ++b) {
+      const float* image = x + b * shape.in_image;
+      float* out = y + b * oc * s;
+      for (std::int64_t jr = 0; jr < s; jr += kNR) {
+        const std::int64_t nr = std::min(kNR, s - jr);
+        for (std::int64_t kc = 0; kc < k; kc += kKC) {
+          const std::int64_t kcnt = std::min(kKC, k - kc);
+          gather_positions(bslab, image, shape.offsets, k, jr, nr, kc, kcnt);
+          const float* apack = wpack.data() + oc_pad * kc;
+          for (std::int64_t ir = 0; ir < oc; ir += kMR) {
+            const std::int64_t mr = std::min(kMR, oc - ir);
+            float* ctile = out + ir * s + jr;
+            micro_tile(kcnt, apack + ir * kcnt, bslab, ctile, s, mr, nr,
+                       kc > 0);
+          }
+        }
+      }
+      for (std::int64_t o = 0; o < oc; ++o) {
+        float* plane = out + o * s;
+        const __m256 vb = _mm256_set1_ps(bias[o]);
+        std::int64_t j = 0;
+        for (; j + 8 <= s; j += 8) {
+          _mm256_storeu_ps(plane + j,
+                           _mm256_add_ps(_mm256_loadu_ps(plane + j), vb));
+        }
+        for (; j < s; ++j) plane[j] += bias[o];
+      }
+    }
+  });
+  pool.release(std::move(wpack));
+}
+
+void conv_backward_input(float* dx, const float* dy, const float* w,
+                         const ConvShape& shape) {
+  const std::int64_t oc = shape.out_channels;
+  const std::int64_t s = shape.spatial;
+  const std::int64_t k = shape.patch;
+  // W is the B operand, packed once: kc block `kc` starts at k_pad * kc.
+  const std::int64_t k_pad = round_up(k, kNR);
+  BufferPool& pool = BufferPool::global();
+  FloatBuffer wpack = pool.acquire(static_cast<std::size_t>(k_pad * oc));
+  for (std::int64_t kc = 0; kc < oc; kc += kKC) {
+    pack_b(wpack.data() + k_pad * kc, w, /*rk=*/k, /*cj=*/1, kc,
+           std::min(kKC, oc - kc), /*jc=*/0, k);
+  }
+  // Patches overlap, so each image's scatter stays on one chunk.
+  parallel_for(shape.batch, 1, [&](std::int64_t b0, std::int64_t b1) {
+    float* apanel = a_panel_scratch();
+    float* tile = tile_scratch(kMC * k);
+    for (std::int64_t b = b0; b < b1; ++b) {
+      const float* grad = dy + b * oc * s;
+      float* image = dx + b * shape.in_image;
+      std::fill(image, image + shape.in_image, 0.0f);
+      for (std::int64_t i0 = 0; i0 < s; i0 += kMC) {
+        const std::int64_t mc = std::min(kMC, s - i0);
+        // tile[mc, K] = dY^T rows [i0, i0+mc) * W, read in place.
+        for (std::int64_t kc = 0; kc < oc; kc += kKC) {
+          const std::int64_t kcnt = std::min(kKC, oc - kc);
+          pack_a(apanel, grad, /*ri=*/1, /*rk=*/s, i0, mc, kc, kcnt);
+          for (std::int64_t jr = 0; jr < k; jr += kNR) {
+            const std::int64_t nr = std::min(kNR, k - jr);
+            const float* bslab = wpack.data() + k_pad * kc + jr * kcnt;
+            for (std::int64_t ir = 0; ir < mc; ir += kMR) {
+              const std::int64_t mr = std::min(kMR, mc - ir);
+              float* ctile = tile + ir * k + jr;
+              micro_tile(kcnt, apanel + ir * kcnt, bslab, ctile, k, mr, nr,
+                         kc > 0);
+            }
+          }
+        }
+        // Scatter-add in (s, kk) order, skipping padding.
+        for (std::int64_t r = 0; r < mc; ++r) {
+          const std::int32_t* offsets = shape.offsets + (i0 + r) * k;
+          const float* trow = tile + r * k;
+          for (std::int64_t kk = 0; kk < k; ++kk) {
+            if (offsets[kk] >= 0) image[offsets[kk]] += trow[kk];
+          }
+        }
+      }
+    }
+  });
+  pool.release(std::move(wpack));
+}
+
+/// dW's B slab: flattened (b, s) rows [r0, r0+kcnt) x patch columns
+/// [j0, j0+nr) into dst[kk*NR + j], zero for padding and for j >= nr.
+void gather_patches(float* dst, const float* x, const ConvShape& shape,
+                    std::int64_t r0, std::int64_t kcnt, std::int64_t j0,
+                    std::int64_t nr) {
+  const std::int64_t s = shape.spatial;
+  const std::int64_t k = shape.patch;
+  for (std::int64_t kk = 0; kk < kcnt; ++kk) {
+    const std::int64_t r = r0 + kk;
+    const float* image = x + (r / s) * shape.in_image;
+    const std::int32_t* row = shape.offsets + (r % s) * k + j0;
+    float* out = dst + kk * kNR;
+    for (std::int64_t j = 0; j < nr; ++j) {
+      out[j] = row[j] >= 0 ? image[row[j]] : 0.0f;
+    }
+    for (std::int64_t j = nr; j < kNR; ++j) out[j] = 0.0f;
+  }
+}
+
+/// dW's A block: dY^T rows (output channels) [o0, o0+mc) x flattened
+/// (b, s) depth [r0, r0+kcnt), packed into MR-tall slabs like pack_a.
+void pack_grad_rows(float* dst, const float* dy, const ConvShape& shape,
+                    std::int64_t o0, std::int64_t mc, std::int64_t r0,
+                    std::int64_t kcnt) {
+  const std::int64_t s = shape.spatial;
+  const std::int64_t oc = shape.out_channels;
+  for (std::int64_t ir = 0; ir < mc; ir += kMR) {
+    const std::int64_t mr = std::min(kMR, mc - ir);
+    float* slab = dst + ir * kcnt;
+    for (std::int64_t kk = 0; kk < kcnt; ++kk) {
+      const std::int64_t r = r0 + kk;
+      const float* src = dy + ((r / s) * oc + o0 + ir) * s + r % s;
+      for (std::int64_t i = 0; i < mr; ++i) slab[kk * kMR + i] = src[i * s];
+      for (std::int64_t i = mr; i < kMR; ++i) slab[kk * kMR + i] = 0.0f;
+    }
+  }
+}
+
+// Partial-sum floats dW holds at once (8 MiB), or one partial when a
+// single one is larger. The bench models' layers fit in one wave; wider
+// layers take several, which changes only how the blocks are scheduled,
+// never the reduction order.
+constexpr std::int64_t kPartialBudget = std::int64_t{1} << 21;
+
+void conv_backward_params(float* dw, float* db, const float* dy,
+                          const float* x, const ConvShape& shape) {
+  const std::int64_t oc = shape.out_channels;
+  const std::int64_t k = shape.patch;
+  const std::int64_t rows = shape.batch * shape.spatial;
+  const std::int64_t area = oc * k;
+  // The depth splits into kKC-row blocks of the flattened (b, s) index,
+  // exactly matmul_tn's kc blocks. Block j's partial P_j is computed on
+  // its own; the reduction dw = P_0, then dw = P_j + dw in block order is
+  // matmul_tn's accumulation chain, so the result does not depend on the
+  // thread count.
+  const std::int64_t blocks = (rows + kKC - 1) / kKC;
+  const std::int64_t wave =
+      std::clamp<std::int64_t>(kPartialBudget / area, 1, blocks);
+  BufferPool& pool = BufferPool::global();
+  FloatBuffer partials = pool.acquire(static_cast<std::size_t>(wave * area));
+  float* part = partials.data();
+  for (std::int64_t w0 = 0; w0 < blocks; w0 += wave) {
+    const std::int64_t count = std::min(wave, blocks - w0);
+    parallel_for(count, 1, [&](std::int64_t p0, std::int64_t p1) {
+      float* apanel = a_panel_scratch();
+      alignas(64) float bslab[kKC * kNR];
+      for (std::int64_t p = p0; p < p1; ++p) {
+        const std::int64_t r0 = (w0 + p) * kKC;
+        const std::int64_t kcnt = std::min(kKC, rows - r0);
+        float* out = part + p * area;
+        for (std::int64_t o0 = 0; o0 < oc; o0 += kMC) {
+          const std::int64_t mc = std::min(kMC, oc - o0);
+          pack_grad_rows(apanel, dy, shape, o0, mc, r0, kcnt);
+          for (std::int64_t jr = 0; jr < k; jr += kNR) {
+            const std::int64_t nr = std::min(kNR, k - jr);
+            gather_patches(bslab, x, shape, r0, kcnt, jr, nr);
+            for (std::int64_t ir = 0; ir < mc; ir += kMR) {
+              const std::int64_t mr = std::min(kMR, mc - ir);
+              float* ctile = out + (o0 + ir) * k + jr;
+              micro_tile(kcnt, apanel + ir * kcnt, bslab, ctile, k, mr, nr,
+                         false);
+            }
+          }
+        }
+      }
+    });
+    // Fold this wave's partials into dw in block order; elements are
+    // independent, so the fold runs in parallel over them.
+    parallel_for(area, parallel_grain(count),
+                 [&](std::int64_t e0, std::int64_t e1) {
+      for (std::int64_t p = 0; p < count; ++p) {
+        const float* src = part + p * area;
+        if (w0 == 0 && p == 0) {
+          std::copy(src + e0, src + e1, dw + e0);
+          continue;
+        }
+        std::int64_t e = e0;
+        for (; e + 8 <= e1; e += 8) {
+          _mm256_storeu_ps(dw + e, _mm256_add_ps(_mm256_loadu_ps(src + e),
+                                                 _mm256_loadu_ps(dw + e)));
+        }
+        for (; e < e1; ++e) dw[e] = src[e] + dw[e];
+      }
+    });
+  }
+  pool.release(std::move(partials));
+  scalar::conv_bias_grad(db, dy, shape);
 }
 
 void add_row_bias(float* a, const float* bias, std::int64_t m,
@@ -418,6 +680,9 @@ const KernelBackend* avx2_backend_if_supported() {
       // bound); share the scalar blocked kernel.
       scalar::col_sum,
       add_row_bias,
+      conv_forward,
+      conv_backward_input,
+      conv_backward_params,
       add,
       sub,
       mul,

@@ -1,10 +1,11 @@
 // Pluggable CPU kernel backends behind the linalg/ops entry points.
 //
-// A KernelBackend is a function table covering the GEMM family and the hot
-// elementwise/activation/softmax kernels. The public entry points in
-// tensor/linalg.hpp and tensor/ops.hpp keep their signatures: they validate
-// contracts, size destinations through the pool, then call through
-// backend::active(). Two backends exist:
+// A KernelBackend is a function table covering the GEMM family, the three
+// convolution passes and the hot elementwise/activation/softmax kernels.
+// The public entry points in tensor/linalg.hpp and tensor/ops.hpp keep
+// their signatures: they validate contracts, size destinations through the
+// pool, then call through backend::active(); nn::Conv2d calls the conv
+// entries itself. Two backends exist:
 //
 //   scalar  portable C++ loops — exactly the kernels this library always
 //           shipped, extracted behind the table. Bit-identical to the
@@ -29,6 +30,22 @@
 
 namespace zkg::backend {
 
+/// One batch's convolution as the conv entries see it: an implicit GEMM
+/// of depth `patch` = C*k*k over `spatial` = OH*OW output positions per
+/// image, read straight from NCHW tensors. Kernel size, stride and
+/// padding are folded into `offsets`, the per-image patch table built once
+/// per geometry by nn::Conv2d: patch element kk (in (ci, ky, kx) order) of
+/// output position s reads element offsets[s*patch + kk] of its input
+/// image, or zero where that entry is -1 (padding).
+struct ConvShape {
+  std::int64_t batch = 0;
+  std::int64_t in_image = 0;      // C*H*W: floats per input image
+  std::int64_t out_channels = 0;  // OC
+  std::int64_t spatial = 0;       // OH*OW
+  std::int64_t patch = 0;         // C*k*k
+  const std::int32_t* offsets = nullptr;  // [spatial, patch]
+};
+
 /// Function table of raw kernels. Pointers are never null. All buffers are
 /// dense row-major float32; shape/aliasing contracts have already been
 /// validated by the linalg/ops entry points, and destinations are fully
@@ -52,6 +69,22 @@ struct KernelBackend {
   /// A[m,n] += bias[n] per row (in place).
   void (*add_row_bias)(float* a, const float* bias, std::int64_t m,
                        std::int64_t n);
+
+  // ---- convolution over NCHW tensors (see ConvShape) ----
+  // Each entry is bit-identical to the patch-matrix formulation it
+  // replaces on the same backend: lowering the input to a [B*S, K] patch
+  // matrix, one GEMM, and a layout reorder or a scatter-add back.
+  /// y[B, OC, S] = W[OC, K] * patches(x) + bias[OC].
+  void (*conv_forward)(float* y, const float* x, const float* w,
+                       const float* bias, const ConvShape& shape);
+  /// dx[B, C*H*W] = the scatter-add of dY^T * W over each patch, in
+  /// (s, kk) order.
+  void (*conv_backward_input)(float* dx, const float* dy, const float* w,
+                              const ConvShape& shape);
+  /// dw[OC, K] = dY * patches(x) summed over (b, s) ascending;
+  /// db[OC] = dY summed over (b, s) ascending.
+  void (*conv_backward_params)(float* dw, float* db, const float* dy,
+                               const float* x, const ConvShape& shape);
 
   // ---- hot elementwise kernels over n contiguous floats ----
   // `out` may alias `a` (the in-place entry points rely on it); binary

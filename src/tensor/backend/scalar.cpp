@@ -3,8 +3,11 @@
 // accumulation order are unchanged, so this backend is bit-identical to
 // the library's historical results — it is both the fallback for CPUs
 // without AVX2 and the reference the SIMD backends are tested against.
+// The conv passes run those same dot-product and rank-1 loops one output
+// position at a time over a gathered patch.
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/parallel.hpp"
 #include "tensor/backend/backend.hpp"
@@ -61,21 +64,7 @@ void matmul_nt(float* c, const float* a, const float* b, std::int64_t m,
         const float* arow = a + i * k;
         float* crow = c + i * n;
         for (std::int64_t j = jb; j < je; ++j) {
-          const float* brow = b + j * k;
-          // Four independent float accumulators let the compiler vectorise;
-          // float precision is ample for the k <= few-thousand dot products
-          // that occur in this library.
-          float acc0 = 0.0f, acc1 = 0.0f, acc2 = 0.0f, acc3 = 0.0f;
-          std::int64_t kk = 0;
-          for (; kk + 4 <= k; kk += 4) {
-            acc0 += arow[kk] * brow[kk];
-            acc1 += arow[kk + 1] * brow[kk + 1];
-            acc2 += arow[kk + 2] * brow[kk + 2];
-            acc3 += arow[kk + 3] * brow[kk + 3];
-          }
-          float acc = (acc0 + acc1) + (acc2 + acc3);
-          for (; kk < k; ++kk) acc += arow[kk] * brow[kk];
-          crow[j] = acc;
+          crow[j] = dot(arow, b + j * k, k);
         }
       }
     }
@@ -124,6 +113,133 @@ void add_row_bias(float* a, const float* bias, std::int64_t m,
   parallel_for(m, parallel_grain(n), [&](std::int64_t i0, std::int64_t i1) {
     for (std::int64_t i = i0; i < i1; ++i) {
       for (std::int64_t j = 0; j < n; ++j) a[i * n + j] += bias[j];
+    }
+  });
+}
+
+// ---- convolution: one output position at a time ----
+//
+// Each position's patch is gathered into a K-float buffer, so the forward
+// pass is matmul_nt's dot product and both gradients are matmul's and
+// matmul_tn's rank-1 loops (zero multipliers skipped), each over the same
+// K order as a row of the patch matrix, padding zeros included.
+
+namespace {
+
+/// The calling thread's patch buffer, grown to at least `n` floats and
+/// kept for the thread's lifetime (so steady state never allocates).
+float* patch_scratch(std::int64_t n) {
+  thread_local std::vector<float> patch;
+  if (patch.size() < static_cast<std::size_t>(n)) {
+    patch.resize(static_cast<std::size_t>(n));
+  }
+  return patch.data();
+}
+
+/// patch[kk] = image element offsets[kk], or zero for padding.
+void gather_patch(float* patch, const float* image,
+                  const std::int32_t* offsets, std::int64_t k) {
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    patch[kk] = offsets[kk] >= 0 ? image[offsets[kk]] : 0.0f;
+  }
+}
+
+}  // namespace
+
+void conv_forward(float* y, const float* x, const float* w, const float* bias,
+                  const ConvShape& shape) {
+  const std::int64_t s = shape.spatial;
+  const std::int64_t k = shape.patch;
+  const std::int64_t oc = shape.out_channels;
+  const std::int64_t grain = parallel_grain(2 * k * oc);
+  parallel_for(shape.batch * s, grain, [&](std::int64_t r0, std::int64_t r1) {
+    float* patch = patch_scratch(k);
+    for (std::int64_t r = r0; r < r1; ++r) {
+      const std::int64_t b = r / s;
+      const std::int64_t pos = r % s;
+      gather_patch(patch, x + b * shape.in_image, shape.offsets + pos * k, k);
+      float* out = y + b * oc * s + pos;
+      for (std::int64_t o = 0; o < oc; ++o) {
+        // Stored, then biased: add_row_bias's rounding steps.
+        const float acc = dot(patch, w + o * k, k);
+        out[o * s] = acc + bias[o];
+      }
+    }
+  });
+}
+
+void conv_backward_input(float* dx, const float* dy, const float* w,
+                         const ConvShape& shape) {
+  const std::int64_t s = shape.spatial;
+  const std::int64_t k = shape.patch;
+  const std::int64_t oc = shape.out_channels;
+  // Patches overlap, so each image's scatter stays on one chunk.
+  parallel_for(shape.batch, parallel_grain(2 * s * k * oc),
+               [&](std::int64_t b0, std::int64_t b1) {
+    float* grad = patch_scratch(k);
+    for (std::int64_t b = b0; b < b1; ++b) {
+      float* image = dx + b * shape.in_image;
+      std::fill(image, image + shape.in_image, 0.0f);
+      for (std::int64_t pos = 0; pos < s; ++pos) {
+        std::fill(grad, grad + k, 0.0f);
+        for (std::int64_t o = 0; o < oc; ++o) {
+          const float g = dy[(b * oc + o) * s + pos];
+          if (g == 0.0f) continue;
+          const float* wrow = w + o * k;
+          for (std::int64_t kk = 0; kk < k; ++kk) grad[kk] += g * wrow[kk];
+        }
+        const std::int32_t* offsets = shape.offsets + pos * k;
+        for (std::int64_t kk = 0; kk < k; ++kk) {
+          if (offsets[kk] >= 0) image[offsets[kk]] += grad[kk];
+        }
+      }
+    }
+  });
+}
+
+void conv_backward_params(float* dw, float* db, const float* dy,
+                          const float* x, const ConvShape& shape) {
+  const std::int64_t s = shape.spatial;
+  const std::int64_t k = shape.patch;
+  const std::int64_t oc = shape.out_channels;
+  std::fill(dw, dw + oc * k, 0.0f);  // the rank-1 updates accumulate
+  // Each chunk owns dw columns [j0, j1) of every row and walks every
+  // (b, s) in order, gathering only its slice of each patch. At least 16
+  // columns per chunk keep the rank-1 loop vectorisable.
+  const std::int64_t grain =
+      std::max<std::int64_t>(16, parallel_grain(2 * shape.batch * s * oc));
+  parallel_for(k, grain, [&](std::int64_t j0, std::int64_t j1) {
+    float* patch = patch_scratch(k);
+    for (std::int64_t b = 0; b < shape.batch; ++b) {
+      for (std::int64_t pos = 0; pos < s; ++pos) {
+        gather_patch(patch + j0, x + b * shape.in_image,
+                     shape.offsets + pos * k + j0, j1 - j0);
+        for (std::int64_t o = 0; o < oc; ++o) {
+          const float g = dy[(b * oc + o) * s + pos];
+          if (g == 0.0f) continue;
+          float* wrow = dw + o * k;
+          for (std::int64_t kk = j0; kk < j1; ++kk) {
+            wrow[kk] += g * patch[kk];
+          }
+        }
+      }
+    }
+  });
+  conv_bias_grad(db, dy, shape);
+}
+
+void conv_bias_grad(float* db, const float* dy, const ConvShape& shape) {
+  const std::int64_t s = shape.spatial;
+  const std::int64_t oc = shape.out_channels;
+  parallel_for(oc, parallel_grain(shape.batch * s),
+               [&](std::int64_t o0, std::int64_t o1) {
+    for (std::int64_t o = o0; o < o1; ++o) {
+      float acc = 0.0f;
+      for (std::int64_t b = 0; b < shape.batch; ++b) {
+        const float* plane = dy + (b * oc + o) * s;
+        for (std::int64_t pos = 0; pos < s; ++pos) acc += plane[pos];
+      }
+      db[o] = acc;
     }
   });
 }
@@ -210,6 +326,9 @@ const KernelBackend& scalar_backend() {
       scalar::matmul_tn,
       scalar::col_sum,
       scalar::add_row_bias,
+      scalar::conv_forward,
+      scalar::conv_backward_input,
+      scalar::conv_backward_params,
       scalar::add,
       scalar::sub,
       scalar::mul,

@@ -4,12 +4,34 @@
 // (cache-blocked, parallelised over zkg::parallel_for, deterministic).
 // scalar.cpp assembles them into the scalar KernelBackend table; the AVX2
 // backend reuses the ones where explicit vectorization buys nothing
-// (col_sum) or where determinism demands the double-accumulator form.
+// (col_sum, the conv bias gradient) or where determinism demands the
+// double-accumulator form.
 #pragma once
 
 #include <cstdint>
 
+#include "tensor/backend/backend.hpp"
+
 namespace zkg::backend::scalar {
+
+/// a[0,k) . b[0,k) as matmul_nt and conv_forward compute it: four
+/// interleaved float accumulators, combined pairwise, then the tail.
+inline float dot(const float* a, const float* b, std::int64_t k) {
+  // Four independent float accumulators let the compiler vectorise; float
+  // precision is ample for the k <= few-thousand dot products that occur
+  // in this library.
+  float acc0 = 0.0f, acc1 = 0.0f, acc2 = 0.0f, acc3 = 0.0f;
+  std::int64_t kk = 0;
+  for (; kk + 4 <= k; kk += 4) {
+    acc0 += a[kk] * b[kk];
+    acc1 += a[kk + 1] * b[kk + 1];
+    acc2 += a[kk + 2] * b[kk + 2];
+    acc3 += a[kk + 3] * b[kk + 3];
+  }
+  float acc = (acc0 + acc1) + (acc2 + acc3);
+  for (; kk < k; ++kk) acc += a[kk] * b[kk];
+  return acc;
+}
 
 void matmul(float* c, const float* a, const float* b, std::int64_t m,
             std::int64_t k, std::int64_t n);
@@ -20,6 +42,16 @@ void matmul_tn(float* c, const float* a, const float* b, std::int64_t m,
 void col_sum(float* out, const float* a, std::int64_t m, std::int64_t n);
 void add_row_bias(float* a, const float* bias, std::int64_t m,
                   std::int64_t n);
+
+void conv_forward(float* y, const float* x, const float* w, const float* bias,
+                  const ConvShape& shape);
+void conv_backward_input(float* dx, const float* dy, const float* w,
+                         const ConvShape& shape);
+void conv_backward_params(float* dw, float* db, const float* dy,
+                          const float* x, const ConvShape& shape);
+/// db[OC] = dY[B, OC, S] summed over (b, s) ascending from zero: the
+/// order col_sum gives the [B*S, OC] matrix.
+void conv_bias_grad(float* db, const float* dy, const ConvShape& shape);
 
 void add(float* out, const float* a, const float* b, std::int64_t n);
 void sub(float* out, const float* a, const float* b, std::int64_t n);

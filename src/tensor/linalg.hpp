@@ -1,5 +1,6 @@
-// Dense linear algebra kernels (2-D). These back the Dense layer and the
-// im2col-based convolution, so they dominate training time. Every kernel
+// Dense linear algebra kernels (2-D). These back the Dense layer;
+// convolution runs on its own backend entries (KernelBackend::conv_*,
+// driven by nn::Conv2d). Every kernel
 // is cache-blocked and runs on zkg::parallel_for (common/parallel.hpp),
 // so parallelism is identical whichever backend the build selected.
 //

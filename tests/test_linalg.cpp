@@ -45,16 +45,6 @@ Tensor reference_transpose(const Tensor& a) {
   return t;
 }
 
-// Every backend available on this machine, for parameterized sweeps.
-std::vector<const backend::KernelBackend*> available_backends() {
-  std::vector<const backend::KernelBackend*> out{&backend::scalar_backend()};
-  if (const backend::KernelBackend* avx2 =
-          backend::avx2_backend_if_supported()) {
-    out.push_back(avx2);
-  }
-  return out;
-}
-
 TEST(Matmul, KnownValues) {
   const Tensor a({2, 3}, std::vector<float>{1, 2, 3, 4, 5, 6});
   const Tensor b({3, 2}, std::vector<float>{7, 8, 9, 10, 11, 12});
@@ -152,7 +142,7 @@ TEST(GemmEdgeShapes, MatchReferenceUnderEveryBackend) {
       {1, 1, 1},  {1, 5, 1},   {5, 1, 5},  {1, 17, 1},
       {3, 3, 3},  {6, 16, 16}, {7, 19, 23}, {97, 3, 5},
       {13, 64, 33}};
-  for (const backend::KernelBackend* b : available_backends()) {
+  for (const backend::KernelBackend* b : testutil::available_backends()) {
     backend::BackendScope scope(*b);
     for (const auto& [m, k, n] : shapes) {
       Rng rng(11 + m + k + n);
@@ -174,7 +164,7 @@ TEST(GemmEdgeShapes, MatchReferenceUnderEveryBackend) {
 }
 
 TEST(GemmEdgeShapes, EmptyDimensionsUnderEveryBackend) {
-  for (const backend::KernelBackend* b : available_backends()) {
+  for (const backend::KernelBackend* b : testutil::available_backends()) {
     backend::BackendScope scope(*b);
     // m == 0 / n == 0: no output elements, but shapes must still be right.
     Tensor c;
@@ -194,7 +184,7 @@ TEST(GemmEdgeShapes, EmptyDimensionsUnderEveryBackend) {
 // regardless of backend — a SIMD backend reading packed panels from a
 // buffer it is concurrently writing would silently corrupt results.
 TEST(GemmContracts, AliasedDestinationsThrowUnderEveryBackend) {
-  for (const backend::KernelBackend* b : available_backends()) {
+  for (const backend::KernelBackend* b : testutil::available_backends()) {
     backend::BackendScope scope(*b);
     Tensor square({4, 4}, 1.0f);
     const Tensor other({4, 4}, 2.0f);
@@ -275,7 +265,7 @@ TEST(CrossBackend, ElementwiseKernelsAreBitIdentical) {
 // accumulation order per output element never depends on pool state or
 // repeated invocation.
 TEST(BackendDeterminism, RepeatedRunsAreBitIdentical) {
-  for (const backend::KernelBackend* b : available_backends()) {
+  for (const backend::KernelBackend* b : testutil::available_backends()) {
     backend::BackendScope scope(*b);
     Rng rng(31);
     const Tensor a = randn({37, 53}, rng);

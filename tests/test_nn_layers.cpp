@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "nn/activations.hpp"
@@ -15,6 +17,7 @@
 #include "nn/flatten.hpp"
 #include "nn/pooling.hpp"
 #include "nn/sequential.hpp"
+#include "tensor/backend/backend.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/random.hpp"
 #include "tests/test_util.hpp"
@@ -135,19 +138,89 @@ TEST(Conv2d, GradientCheck) {
   check_layer_gradients(conv, x);
 }
 
-TEST(Im2Col, RoundTripThroughCol2ImCountsOverlaps) {
-  const Conv2dConfig cfg{.in_channels = 1, .out_channels = 1, .kernel = 2,
-                         .stride = 1, .padding = 0};
-  const Tensor x({1, 1, 3, 3}, 1.0f);
-  Tensor cols;
-  im2col_into(cols, x, cfg);
-  EXPECT_EQ(cols.shape(), Shape({4, 4}));
-  Tensor back;
-  col2im_into(back, cols, x.shape(), cfg);
-  // Centre pixel participates in all four patches, corners in one.
-  EXPECT_FLOAT_EQ(back.at(0, 0, 1, 1), 4.0f);
-  EXPECT_FLOAT_EQ(back.at(0, 0, 0, 0), 1.0f);
-  EXPECT_FLOAT_EQ(back.at(0, 0, 0, 1), 2.0f);
+struct ConvBitwiseCase {
+  const char* label;
+  Conv2dConfig cfg;
+  std::int64_t batch, height, width;
+};
+
+// dY as a ReLU above it would leave it: about a third exact zeros, which
+// the scalar kernels' zero-skipping rank-1 updates must treat the same way.
+Tensor relu_masked_grad(const Shape& shape, Rng& rng) {
+  Tensor grad = randn(shape, rng);
+  for (std::int64_t i = 0; i < grad.numel(); ++i) {
+    if (grad[i] < -0.4f) grad[i] = 0.0f;
+  }
+  return grad;
+}
+
+// The implicit-GEMM conv passes against the patch-matrix formulation they
+// replace (testutil::reference_conv_*), bit for bit under every backend:
+// forward, dX (with and without parameter gradients), dW and db.
+TEST(Conv2d, MatchesIm2ColReferenceBitwise) {
+  const std::vector<ConvBitwiseCase> cases{
+      // The five bench-allCNN layers (synth-objects, 3x32x32).
+      {"allcnn0", {3, 16, 3, 1, 1}, 2, 32, 32},
+      {"allcnn1", {16, 16, 3, 2, 1}, 2, 32, 32},
+      {"allcnn2", {16, 32, 3, 1, 1}, 2, 16, 16},
+      {"allcnn3", {32, 32, 3, 2, 1}, 3, 16, 16},
+      {"allcnn4 1x1", {32, 10, 1, 1, 0}, 3, 8, 8},
+      // Paper allCNN 96->96: K = 864 spans four depth blocks.
+      {"paper allcnn 96->96", {96, 96, 3, 1, 1}, 2, 6, 6},
+      // LeNet: bench 5x5/s2, paper 5x5/p2. S = 196 is no multiple of 16
+      // and B*S = 588 no multiple of 256.
+      {"lenet bench", {1, 8, 5, 2, 2}, 3, 28, 28},
+      {"lenet bench 2", {8, 16, 5, 2, 2}, 2, 14, 14},
+      {"lenet paper", {32, 64, 5, 1, 2}, 2, 7, 7},
+      // Batch 1, OC = 7 (no multiple of 6), non-square input.
+      {"batch 1", {4, 7, 3, 1, 1}, 1, 9, 11},
+      // OC = 300: dX's depth (OC) spans two blocks.
+      {"wide 1x1", {2, 300, 1, 1, 0}, 2, 5, 5},
+  };
+  for (const backend::KernelBackend* kernels : testutil::available_backends()) {
+    backend::BackendScope scope(*kernels);
+    for (const ConvBitwiseCase& c : cases) {
+      SCOPED_TRACE(std::string(kernels->name) + " " + c.label);
+      Rng rng(31);
+      Conv2d conv(c.cfg, rng);
+      conv.bias().value() = randn({c.cfg.out_channels}, rng);
+      const Tensor x =
+          randn({c.batch, c.cfg.in_channels, c.height, c.width}, rng);
+      const Tensor& w = conv.weight().value();
+
+      Tensor y;
+      conv.forward_into(x, y, /*training=*/true);
+      EXPECT_TRUE(same_bits(
+          y, testutil::reference_conv_forward(x, w, conv.bias().value(),
+                                              c.cfg)));
+
+      const Tensor grad_y = relu_masked_grad(y.shape(), rng);
+      const testutil::ConvGradients ref =
+          testutil::reference_conv_backward(x, w, grad_y, c.cfg);
+      conv.zero_grad();
+      Tensor grad_x;
+      conv.backward_into(grad_y, grad_x);
+      EXPECT_TRUE(same_bits(grad_x, ref.dx));
+      // The layer accumulates into zeroed gradients; so does the reference.
+      Tensor dw(w.shape());
+      axpy_(dw, 1.0f, ref.dw);
+      Tensor db({c.cfg.out_channels});
+      axpy_(db, 1.0f, ref.db);
+      EXPECT_TRUE(same_bits(conv.weight().grad(), dw));
+      EXPECT_TRUE(same_bits(conv.bias().grad(), db));
+
+      // Attack backwards skip dW/db but must give the same dX.
+      conv.zero_grad();
+      conv.forward_into(x, y, /*training=*/false);
+      Tensor attack_grad_x;
+      {
+        const InputGradOnly input_only;
+        conv.backward_into(grad_y, attack_grad_x);
+      }
+      EXPECT_TRUE(same_bits(attack_grad_x, ref.dx));
+      EXPECT_EQ(max_abs(conv.weight().grad()), 0.0f);
+    }
+  }
 }
 
 TEST(MaxPool2d, ForwardAndRouting) {

@@ -462,6 +462,27 @@ TEST_F(SweepTest, CheckpointDirOverrideRejectsConcurrentSweeps) {
   }
 }
 
+// The guard every run_jobs caller that trains (run_sweep, Table IV) calls
+// before queueing: ZKG_CKPT_DIR is refused only when jobs may overlap.
+TEST_F(SweepTest, CheckpointDirGuardRejectsOnlyOverlappingJobs) {
+  EXPECT_NO_THROW(eval::require_private_checkpoint_dirs(3, 3, "table4"));
+  TempDir dir("guard_env_ckpt");
+  setenv("ZKG_CKPT_DIR", dir.path().c_str(), 1);
+  for (const unsigned concurrency : {0u, 3u}) {
+    try {
+      eval::require_private_checkpoint_dirs(3, concurrency, "table4");
+      ADD_FAILURE() << "concurrency=" << concurrency
+                    << ": expected a ConfigError";
+    } catch (const ConfigError& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("table4"), std::string::npos) << what;
+      EXPECT_NE(what.find("ZKG_CKPT_DIR"), std::string::npos) << what;
+    }
+  }
+  EXPECT_NO_THROW(eval::require_private_checkpoint_dirs(3, 1, "table4"));
+  EXPECT_NO_THROW(eval::require_private_checkpoint_dirs(1, 3, "table4"));
+}
+
 // The Table III driver is one sweep: rows come back in `defenses` order
 // with the same accuracies whether the cells run serially or concurrently.
 TEST_F(SweepTest, Table3RowsMatchAcrossJobCounts) {

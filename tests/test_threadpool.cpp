@@ -283,29 +283,38 @@ TEST(ParallelKernels, NestedMatmulBitIdenticalToSerial) {
   }
 }
 
-TEST(ParallelKernels, Im2ColBitIdenticalToSerial) {
+// Conv forward, dX, dW and db: parallel over images, depth blocks and
+// output channels, each bit-identical to the serial run. B*S = 5*99 spans
+// two 256-row dW blocks, the second one ragged.
+TEST(ParallelKernels, ConvBitIdenticalToSerial) {
   Rng rng(13);
   const nn::Conv2dConfig cfg{.in_channels = 3, .out_channels = 8,
                              .kernel = 3, .stride = 1, .padding = 1};
+  nn::Conv2d conv(cfg, rng);
   const Tensor x = randn({5, 3, 11, 9}, rng);
-  Tensor parallel;
-  nn::im2col_into(parallel, x, cfg);
-  Tensor serial;
+  const Tensor grad_y = randn({5, 8, 11, 9}, rng);
+  struct Pass {
+    Tensor y, grad_x, grad_w, grad_b;
+  };
+  const auto run = [&] {
+    Pass pass;
+    conv.zero_grad();
+    conv.forward_into(x, pass.y, /*training=*/true);
+    conv.backward_into(grad_y, pass.grad_x);
+    pass.grad_w = conv.weight().grad();
+    pass.grad_b = conv.bias().grad();
+    return pass;
+  };
+  const Pass parallel = run();
+  Pass serial;
   {
     SerialScope scope;
-    nn::im2col_into(serial, x, cfg);
+    serial = run();
   }
-  ASSERT_EQ(parallel.shape(), serial.shape());
-  EXPECT_EQ(parallel.storage(), serial.storage());
-
-  Tensor back_par;
-  nn::col2im_into(back_par, parallel, x.shape(), cfg);
-  Tensor back_ser;
-  {
-    SerialScope scope;
-    nn::col2im_into(back_ser, serial, x.shape(), cfg);
-  }
-  EXPECT_EQ(back_par.storage(), back_ser.storage());
+  EXPECT_EQ(parallel.y.storage(), serial.y.storage());
+  EXPECT_EQ(parallel.grad_x.storage(), serial.grad_x.storage());
+  EXPECT_EQ(parallel.grad_w.storage(), serial.grad_w.storage());
+  EXPECT_EQ(parallel.grad_b.storage(), serial.grad_b.storage());
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "models/discriminator.hpp"
 #include "models/lenet.hpp"
 #include "models/session.hpp"
+#include "nn/conv2d.hpp"
 #include "nn/loss.hpp"
 #include "tensor/linalg.hpp"
 #include "tensor/ops.hpp"
@@ -394,6 +395,38 @@ TEST(SteadyState, InferenceSessionPredictHasZeroPoolMissesAfterWarmup) {
     EXPECT_EQ(scores.shape(), Shape({16, 1}));
     session.predict_into(images, copied);
     EXPECT_EQ(copied.size(), 16u);
+  }
+  const PoolStats stats = BufferPool::global().stats();
+  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(stats.bytes_allocated, 0u);
+}
+
+// A conv layer at the training batch (64) and the serving batch (1): once
+// both have been seen, alternating forward/backward passes at either size
+// take every buffer from the pool. The offset table is kept across batch
+// sizes, and the dW partials and packed weights are pooled per call.
+TEST(SteadyState, Conv2dHasZeroPoolMissesAfterWarmup) {
+  Rng rng(37);
+  nn::Conv2d conv({.in_channels = 16, .out_channels = 32, .kernel = 3,
+                   .stride = 1, .padding = 1},
+                  rng);
+  const Tensor train_batch = randn({64, 16, 16, 16}, rng);
+  const Tensor serve_batch = randn({1, 16, 16, 16}, rng);
+  const Tensor train_grad = randn({64, 32, 16, 16}, rng);
+  const Tensor serve_grad = randn({1, 32, 16, 16}, rng);
+  Tensor out;
+  Tensor grad_input;
+  const auto step = [&](const Tensor& x, const Tensor& grad_y) {
+    conv.forward_into(x, out, /*training=*/true);
+    conv.backward_into(grad_y, grad_input);
+  };
+  step(train_batch, train_grad);  // warmup at both sizes
+  step(serve_batch, serve_grad);
+
+  BufferPool::global().reset_stats();
+  for (int i = 0; i < 3; ++i) {
+    step(train_batch, train_grad);
+    step(serve_batch, serve_grad);
   }
   const PoolStats stats = BufferPool::global().stats();
   EXPECT_EQ(stats.misses, 0u);
