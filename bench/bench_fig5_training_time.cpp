@@ -46,7 +46,6 @@ void run_panel(zkg::data::DatasetId id, const char* label) {
   std::cout << "--- " << label << " (" << data::dataset_name(id) << ") ---\n";
   eval::SweepOptions options;
   options.jobs = static_cast<unsigned>(env_or_int("ZKG_JOBS", 1));
-  options.epochs = 2;
   std::unique_ptr<defense::JsonlTrainObserver> recorder;
   std::ofstream* json = options.jobs == 1 ? bench_json_stream() : nullptr;
   if (json != nullptr) {
@@ -54,7 +53,7 @@ void run_panel(zkg::data::DatasetId id, const char* label) {
     options.observer = recorder.get();
   }
   const std::vector<eval::TrainingTimeRow> rows =
-      eval::run_training_time(id, seed, options);
+      eval::run_training_time(id, seed, /*epochs=*/2, options);
 
   double zk_seconds = 0.0;
   for (const eval::TrainingTimeRow& row : rows) {

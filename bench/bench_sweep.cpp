@@ -88,7 +88,7 @@ int main() {
 
   eval::SweepOptions serial_opts;
   serial_opts.jobs = 1;
-  serial_opts.evaluate = false;
+  serial_opts.evaluate = eval::AttackSuite::kNone;
   serial_opts.keep_params = true;
 
   eval::SweepOptions parallel_opts = serial_opts;

@@ -27,9 +27,10 @@
 # Kernel parallelism: every binary runs zkg::parallel_for on the in-tree
 # thread pool. ZKG_THREADS=<n> overrides the worker count, e.g.
 # `ZKG_THREADS=8 ./run_benches.sh`.
-# ZKG_JOBS=<n> additionally parallelizes the Table III/IV and Figure 5
-# drivers at the experiment level (n concurrent training jobs; the
-# Table III and Figure 5 sweeps refuse ZKG_CKPT_DIR when n != 1).
+# Every table/figure driver trains through eval::run_sweep. ZKG_JOBS=<n>
+# runs the Table III/IV and Figure 5 (left/middle) cells as n concurrent
+# training jobs (bit-identical rows; a sweep refuses ZKG_CKPT_DIR when
+# n != 1). Figure 5 (right) and the ablations run their cells serially.
 #
 # Kernel backend: ZKG_BACKEND=scalar|avx2|auto selects the compute backend
 # (DESIGN.md §13); default auto picks AVX2 when the CPU supports it.

@@ -18,7 +18,7 @@ AdversarialTrainer::AdversarialTrainer(models::Classifier& model,
   ZKG_CHECK(attack_ != nullptr) << " AdversarialTrainer without attack";
 }
 
-Trainer::BatchStats AdversarialTrainer::train_batch(const data::Batch& batch) {
+BatchStats AdversarialTrainer::train_batch(const data::Batch& batch) {
   {
     ZKG_SPAN("train.attack_gen");
     attack_->generate_into(model_, batch.images, batch.labels, adversarial_);

@@ -7,7 +7,7 @@
 
 namespace zkg::defense {
 
-Trainer::BatchStats ClpTrainer::train_batch(const data::Batch& batch) {
+BatchStats ClpTrainer::train_batch(const data::Batch& batch) {
   const std::int64_t half = batch.size() / 2;
   if (half == 0) return {0.0f, 0.0f};  // cannot pair a single example
 

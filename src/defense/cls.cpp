@@ -7,7 +7,7 @@
 
 namespace zkg::defense {
 
-Trainer::BatchStats ClsTrainer::train_batch(const data::Batch& batch) {
+BatchStats ClsTrainer::train_batch(const data::Batch& batch) {
   {
     ZKG_SPAN("train.augment");
     data::gaussian_augment_into(perturbed_, batch.images, noise_rng_,

@@ -213,10 +213,6 @@ class Trainer {
   const TrainConfig& config() const { return config_; }
 
  protected:
-  /// Compatibility alias: subclasses predating the observer API spell the
-  /// return type Trainer::BatchStats.
-  using BatchStats = defense::BatchStats;
-
   /// Consumes one mini-batch: computes losses, updates weights.
   virtual BatchStats train_batch(const data::Batch& batch) = 0;
 

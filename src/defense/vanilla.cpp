@@ -5,7 +5,7 @@
 
 namespace zkg::defense {
 
-Trainer::BatchStats VanillaTrainer::train_batch(const data::Batch& batch) {
+BatchStats VanillaTrainer::train_batch(const data::Batch& batch) {
   float loss;
   {
     ZKG_SPAN("train.forward_backward");

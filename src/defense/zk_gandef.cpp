@@ -108,7 +108,7 @@ float GanDefTrainerBase::update_classifier(
   return ce_loss;
 }
 
-Trainer::BatchStats GanDefTrainerBase::train_batch(const data::Batch& batch) {
+BatchStats GanDefTrainerBase::train_batch(const data::Batch& batch) {
   // Evenly sampled clean and perturbed halves (Algorithm 1 lines 4/9). The
   // whole batch contributes in both roles: clean copies first, perturbed
   // copies second.

@@ -4,13 +4,8 @@
 #include <cmath>
 #include <sstream>
 
-#include "attacks/cw.hpp"
-#include "attacks/deepfool.hpp"
-#include "attacks/pgd.hpp"
 #include "common/env.hpp"
 #include "data/preprocess.hpp"
-#include "defense/cls.hpp"
-#include "defense/zk_gandef.hpp"
 #include "eval/scheduler.hpp"
 #include "models/allcnn.hpp"
 #include "models/lenet.hpp"
@@ -211,25 +206,48 @@ std::string Table3Result::headline_summary() const {
 
 namespace {
 
-/// Trains one run_sweep cell per defense on (id, seed) and returns their
-/// rows in `defenses` order; a failed cell throws, since a paper table with
-/// a missing row is not that table.
-std::vector<DefenseRun> sweep_defenses(
-    data::DatasetId id, const std::vector<defense::DefenseId>& defenses,
-    std::uint64_t seed, const SweepOptions& options) {
-  std::vector<SweepCell> cells;
-  cells.reserve(defenses.size());
-  for (const defense::DefenseId defense_id : defenses) {
-    cells.push_back(SweepCell{defense_id, id, seed});
-  }
-  std::vector<DefenseRun> rows;
-  for (const SweepRun& run : run_sweep(cells, options)) {
+/// Runs `cells` as one sweep and returns their runs in cell order; a failed
+/// cell throws, since a paper table with a missing row is not that table.
+std::vector<SweepRun> sweep_or_throw(const std::vector<SweepCell>& cells,
+                                     const SweepOptions& options) {
+  std::vector<SweepRun> runs = run_sweep(cells, options);
+  for (const SweepRun& run : runs) {
     if (!run.ok) {
       throw Error("sweep cell " + run.name + " failed: " + run.error);
     }
-    rows.push_back(run.run);
   }
-  return rows;
+  return runs;
+}
+
+std::vector<SweepCell> defense_cells(
+    data::DatasetId id, const std::vector<defense::DefenseId>& defenses,
+    std::uint64_t seed) {
+  std::vector<SweepCell> cells;
+  for (const defense::DefenseId defense_id : defenses) {
+    cells.emplace_back(defense_id, id, seed);
+  }
+  return cells;
+}
+
+/// One serial ZK-GanDef cell per value of `knob`, evaluated with the Table
+/// III suite.
+std::vector<AblationPoint> run_zk_ablation(data::DatasetId id,
+                                           const std::vector<float>& values,
+                                           std::uint64_t seed,
+                                           float ExperimentScale::*knob) {
+  std::vector<SweepCell> cells;
+  for (const float value : values) {
+    cells.emplace_back(defense::DefenseId::kZkGanDef, id, seed);
+    cells.back().scale.*knob = value;
+  }
+  SweepOptions options;
+  options.jobs = 1;
+  std::vector<AblationPoint> points;
+  for (const SweepRun& run : sweep_or_throw(cells, options)) {
+    points.push_back({run.cell.scale.*knob, run.eval.clean_accuracy,
+                      run.eval.attack("PGD").test_accuracy});
+  }
+  return points;
 }
 
 }  // namespace
@@ -239,64 +257,62 @@ Table3Result run_table3(data::DatasetId id,
                         std::uint64_t seed, unsigned jobs) {
   SweepOptions options;
   options.jobs = jobs;
-  return Table3Result{id, sweep_defenses(id, defenses, seed, options)};
+  Table3Result result{id, {}};
+  for (const SweepRun& run :
+       sweep_or_throw(defense_cells(id, defenses, seed), options)) {
+    DefenseRun row;
+    row.id = run.cell.defense;
+    row.name = defense::defense_name(run.cell.defense);
+    row.acc_original = run.eval.clean_accuracy;
+    row.acc_fgsm = run.eval.attack("FGSM").test_accuracy;
+    row.acc_bim = run.eval.attack("BIM").test_accuracy;
+    row.acc_pgd = run.eval.attack("PGD").test_accuracy;
+    row.seconds_per_epoch = run.train.mean_epoch_seconds();
+    row.final_loss = run.train.final_loss();
+    row.converged = run.train.converged();
+    result.rows.push_back(std::move(row));
+  }
+  return result;
 }
 
 // ----------------------------------------------------------------- Table IV
 
-Table4Row run_table4(data::DatasetId id, std::uint64_t seed) {
-  const ExperimentScale scale = scale_for(id);
-  Rng data_rng(seed);
-  const PreparedData data = prepare_data(id, scale, data_rng);
-
-  Rng model_rng(seed ^ 0x6d0de1ULL);
-  models::Classifier model = build_model_for(id, scale, model_rng);
-
-  const defense::TrainConfig config = base_train_config(scale, seed);
-  defense::ZkGanDefTrainer trainer(model, config);
-  trainer.fit(data.train);
-
-  // Evaluate on a subset: DeepFool's per-class gradients are the costly
-  // part (see DESIGN.md §5 on scaling).
-  const std::int64_t subset =
-      std::min<std::int64_t>(scale.generalizability_samples,
-                             data.test.size());
-  std::vector<std::int64_t> indices(static_cast<std::size_t>(subset));
-  for (std::int64_t i = 0; i < subset; ++i) {
-    indices[static_cast<std::size_t>(i)] = i;
+std::vector<Table4Row> run_table4(const std::vector<data::DatasetId>& datasets,
+                                  std::uint64_t seed, unsigned jobs) {
+  std::vector<SweepCell> cells;
+  for (const data::DatasetId id : datasets) {
+    cells.emplace_back(defense::DefenseId::kZkGanDef, id, seed);
   }
-  const data::Dataset test_subset = data.test.subset(indices);
-
-  // Same budget as PGD (paper §V-B).
-  attacks::DeepFool deepfool(scale.pgd);
-  attacks::CarliniWagner cw(scale.pgd, /*kappa=*/0.0f,
-                            /*adam_lr=*/scale.pgd.epsilon / 4.0f);
-  const Evaluator evaluator(scale.eval_batch);
-  const Evaluation eval =
-      evaluator.evaluate(model, test_subset, {&deepfool, &cw});
-
-  Table4Row row;
-  row.dataset = id;
-  row.clean_accuracy = eval.clean_accuracy;
-  row.deepfool_accuracy = eval.attack("DeepFool").test_accuracy;
-  row.cw_accuracy = eval.attack("CW").test_accuracy;
-  return row;
+  SweepOptions options;
+  options.jobs = jobs;
+  options.evaluate = AttackSuite::kTable4;
+  std::vector<Table4Row> rows;
+  for (const SweepRun& run : sweep_or_throw(cells, options)) {
+    rows.push_back({run.cell.dataset, run.eval.attack("DeepFool").test_accuracy,
+                    run.eval.attack("CW").test_accuracy,
+                    run.eval.clean_accuracy});
+  }
+  return rows;
 }
 
 // ------------------------------------------------- Figure 5 (left / middle)
 
 std::vector<TrainingTimeRow> run_training_time(data::DatasetId id,
                                                std::uint64_t seed,
+                                               std::int64_t epochs,
                                                const SweepOptions& options) {
+  std::vector<SweepCell> cells = defense_cells(
+      id,
+      {defense::DefenseId::kZkGanDef, defense::DefenseId::kFgsmAdv,
+       defense::DefenseId::kPgdAdv, defense::DefenseId::kPgdGanDef},
+      seed);
+  for (SweepCell& cell : cells) cell.scale.epochs = epochs;
   SweepOptions train_only = options;
-  train_only.evaluate = false;
+  train_only.evaluate = AttackSuite::kNone;
   std::vector<TrainingTimeRow> rows;
-  for (const DefenseRun& run : sweep_defenses(
-           id,
-           {defense::DefenseId::kZkGanDef, defense::DefenseId::kFgsmAdv,
-            defense::DefenseId::kPgdAdv, defense::DefenseId::kPgdGanDef},
-           seed, train_only)) {
-    rows.push_back({run.name, run.seconds_per_epoch});
+  for (const SweepRun& run : sweep_or_throw(cells, train_only)) {
+    rows.push_back({defense::defense_name(run.cell.defense),
+                    run.train.mean_epoch_seconds()});
   }
   return rows;
 }
@@ -306,33 +322,29 @@ std::vector<TrainingTimeRow> run_training_time(data::DatasetId id,
 std::vector<LossCurve> run_cls_convergence(data::DatasetId id,
                                            std::uint64_t seed,
                                            std::int64_t epochs) {
-  ExperimentScale scale = scale_for(id);
-  scale.epochs = epochs;
-  Rng data_rng(seed);
-  const PreparedData data = prepare_data(id, scale, data_rng);
-
   // The paper's four settings (§V-D): (sigma, lambda).
-  const std::vector<std::pair<float, float>> settings = {
-      {1.0f, 0.4f}, {1.0f, 0.01f}, {0.1f, 0.4f}, {0.1f, 0.01f}};
+  std::vector<SweepCell> cells;
+  for (const auto& [sigma, lambda] :
+       {std::pair{1.0f, 0.4f}, std::pair{1.0f, 0.01f}, std::pair{0.1f, 0.4f},
+        std::pair{0.1f, 0.01f}}) {
+    SweepCell& cell = cells.emplace_back(defense::DefenseId::kCls, id, seed);
+    cell.scale.epochs = epochs;
+    cell.scale.sigma = sigma;
+    cell.scale.lambda = lambda;
+  }
+  SweepOptions options;
+  options.jobs = 1;
+  options.evaluate = AttackSuite::kNone;
 
   std::vector<LossCurve> curves;
-  for (const auto& [sigma, lambda] : settings) {
-    Rng model_rng(seed ^ 0x6d0de1ULL);
-    models::Classifier model = build_model_for(id, scale, model_rng);
-
-    defense::TrainConfig config = base_train_config(scale, seed);
-    config.sigma = sigma;
-    config.lambda = lambda;
-    defense::ClsTrainer trainer(model, config);
-    const defense::TrainResult train = trainer.fit(data.train);
-
+  for (const SweepRun& run : sweep_or_throw(cells, options)) {
     LossCurve curve;
-    curve.sigma = sigma;
-    curve.lambda = lambda;
-    for (const defense::EpochStats& e : train.epochs) {
+    curve.sigma = run.cell.scale.sigma;
+    curve.lambda = run.cell.scale.lambda;
+    for (const defense::EpochStats& e : run.train.epochs) {
       curve.losses.push_back(e.classifier_loss);
     }
-    curve.converged = train.converged();
+    curve.converged = run.train.converged();
     curves.push_back(std::move(curve));
   }
   return curves;
@@ -340,55 +352,16 @@ std::vector<LossCurve> run_cls_convergence(data::DatasetId id,
 
 // ------------------------------------------------------------- Ablations
 
-namespace {
-
-std::vector<AblationPoint> run_zk_sweep(
-    data::DatasetId id, const std::vector<float>& values, std::uint64_t seed,
-    bool sweep_gamma) {
-  const ExperimentScale scale = scale_for(id);
-  Rng data_rng(seed);
-  const PreparedData data = prepare_data(id, scale, data_rng);
-  const Evaluator evaluator(scale.eval_batch);
-
-  std::vector<AblationPoint> points;
-  for (const float value : values) {
-    Rng model_rng(seed ^ 0x6d0de1ULL);
-    models::Classifier model = build_model_for(id, scale, model_rng);
-
-    defense::TrainConfig config = base_train_config(scale, seed);
-    if (sweep_gamma) {
-      config.gamma = value;
-    } else {
-      config.sigma = value;
-    }
-    defense::ZkGanDefTrainer trainer(model, config);
-    trainer.fit(data.train);
-
-    Rng attack_rng(seed ^ 0xa77ac4ULL);
-    attacks::Pgd pgd(scale.pgd, attack_rng);
-    const Evaluation eval = evaluator.evaluate(model, data.test, {&pgd});
-
-    AblationPoint point;
-    point.value = value;
-    point.acc_original = eval.clean_accuracy;
-    point.acc_pgd = eval.attack("PGD").test_accuracy;
-    points.push_back(point);
-  }
-  return points;
-}
-
-}  // namespace
-
 std::vector<AblationPoint> run_gamma_ablation(data::DatasetId id,
                                               const std::vector<float>& gammas,
                                               std::uint64_t seed) {
-  return run_zk_sweep(id, gammas, seed, /*sweep_gamma=*/true);
+  return run_zk_ablation(id, gammas, seed, &ExperimentScale::gamma);
 }
 
 std::vector<AblationPoint> run_sigma_ablation(data::DatasetId id,
                                               const std::vector<float>& sigmas,
                                               std::uint64_t seed) {
-  return run_zk_sweep(id, sigmas, seed, /*sweep_gamma=*/false);
+  return run_zk_ablation(id, sigmas, seed, &ExperimentScale::sigma);
 }
 
 }  // namespace zkg::eval

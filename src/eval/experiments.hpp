@@ -1,9 +1,12 @@
 // Experiment drivers: one entry point per paper table/figure (DESIGN.md §4).
 //
-// Every driver is parameterised by an ExperimentScale. scale_for() returns
-// the CPU-sized kBench scale by default and the published kPaper scale when
-// the ZKG_PRESET=paper environment variable is set; individual knobs can be
-// overridden via ZKG_TRAIN / ZKG_TEST / ZKG_EPOCHS.
+// Every driver trains through eval::run_sweep (eval/scheduler.hpp), one
+// cell per trained model, and throws if a cell fails: a paper table with a
+// missing row is not that table. Every cell carries an ExperimentScale.
+// scale_for() returns the CPU-sized kBench scale by default and the
+// published kPaper scale when the ZKG_PRESET=paper environment variable is
+// set; individual knobs can be overridden via ZKG_TRAIN / ZKG_TEST /
+// ZKG_EPOCHS.
 #pragma once
 
 #include <cstdint>
@@ -60,9 +63,7 @@ PreparedData prepare_data(data::DatasetId id, const ExperimentScale& scale,
 models::Classifier build_model_for(data::DatasetId id,
                                    const ExperimentScale& scale, Rng& rng);
 
-/// The TrainConfig every experiment driver derives from `scale` — shared
-/// with the sweep scheduler so a parallel cell trains under exactly the
-/// config its serial counterpart would.
+/// The TrainConfig a sweep cell trains under, derived from its `scale`.
 defense::TrainConfig base_train_config(const ExperimentScale& scale,
                                        std::uint64_t seed);
 
@@ -112,8 +113,12 @@ struct Table4Row {
   double clean_accuracy = 0.0;
 };
 
-/// Trains ZK-GanDef and evaluates it on DeepFool and CW examples.
-Table4Row run_table4(data::DatasetId id, std::uint64_t seed);
+/// Trains ZK-GanDef on every dataset in `datasets` and evaluates it on
+/// DeepFool and CW examples: one run_sweep cell per dataset, `jobs` of them
+/// concurrently (bit-identical at any count). Rows come back in `datasets`
+/// order.
+std::vector<Table4Row> run_table4(const std::vector<data::DatasetId>& datasets,
+                                  std::uint64_t seed, unsigned jobs = 1);
 
 // ------------------------------------------------- Figure 5 (left / middle)
 
@@ -123,12 +128,13 @@ struct TrainingTimeRow {
 };
 
 /// Per-epoch training time of {ZK-GanDef, FGSM-Adv, PGD-Adv, PGD-GanDef},
-/// rows in that order: one run_sweep cell per defense, trained under
-/// `options` (jobs, epochs, observer, ...) without the attack evaluation.
+/// rows in that order: one run_sweep cell per defense, trained for `epochs`
+/// under `options` (jobs, observer, ...) without the attack evaluation.
 /// Concurrent jobs compete for cores, so absolute timings come from
-/// options.jobs == 1. A failed cell throws.
+/// options.jobs == 1.
 std::vector<TrainingTimeRow> run_training_time(data::DatasetId id,
                                                std::uint64_t seed,
+                                               std::int64_t epochs,
                                                const SweepOptions& options);
 
 // -------------------------------------------------------- Figure 5 (right)
@@ -140,7 +146,8 @@ struct LossCurve {
   bool converged = false;
 };
 
-/// CLS training-loss curves under the paper's four (sigma, lambda) settings.
+/// CLS training-loss curves under the paper's four (sigma, lambda) settings:
+/// one serial run_sweep cell per setting.
 std::vector<LossCurve> run_cls_convergence(data::DatasetId id,
                                            std::uint64_t seed,
                                            std::int64_t epochs = 8);
@@ -154,12 +161,13 @@ struct AblationPoint {
 };
 
 /// Sweeps ZK-GanDef's gamma (gamma = 0 reduces to Gaussian-augmentation
-/// training, §III-D).
+/// training, §III-D): one serial run_sweep cell per value, evaluated with
+/// the Table III suite, of which the points keep Original and PGD.
 std::vector<AblationPoint> run_gamma_ablation(data::DatasetId id,
                                               const std::vector<float>& gammas,
                                               std::uint64_t seed);
 
-/// Sweeps the augmentation sigma.
+/// Sweeps the augmentation sigma, as run_gamma_ablation sweeps gamma.
 std::vector<AblationPoint> run_sigma_ablation(data::DatasetId id,
                                               const std::vector<float>& sigmas,
                                               std::uint64_t seed);

@@ -133,7 +133,9 @@ TEST(CheckedMathObserver, ThrowsOnNonFiniteLoss) {
     std::string name() const override { return "null"; }
 
    protected:
-    BatchStats train_batch(const data::Batch&) override { return {}; }
+    defense::BatchStats train_batch(const data::Batch&) override {
+      return {};
+    }
   };
   NullTrainer trainer(model, defense::TrainConfig{});
 
