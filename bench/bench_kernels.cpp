@@ -299,6 +299,18 @@ void report_kernel_performance() {
   Tensor conv_dx(conv_x.shape());
   Tensor conv_dw(conv.weight().value().shape());
   Tensor conv_db(conv.bias().value().shape());
+  // Bench-allCNN layer 0 (3 -> 16, 3x3 on 32x32, depth K = 27): the
+  // shallowest patch, where gathering the B slab weighs most.
+  const ConvLayerShape& layer0 = kAllCnnLayers[0];
+  nn::Conv2d conv0({layer0.in, layer0.out, layer0.kernel, layer0.stride,
+                    layer0.padding},
+                   rng);
+  const Tensor conv0_x = randn(
+      {kConvBatch, layer0.in, layer0.size, layer0.size}, rng);
+  const backend::ConvShape conv0_shape = conv0.conv_shape(conv0_x.shape());
+  Tensor conv0_y({kConvBatch, layer0.out, conv0_shape.spatial});
+  Tensor act(u.shape());
+  Tensor act_grad(u.shape());
 
   const double n3 = static_cast<double>(n) * n * n;
   const double n2 = static_cast<double>(n) * n;
@@ -321,6 +333,15 @@ void report_kernel_performance() {
   cases.push_back({"clamp_1m", static_cast<double>(big),
                    4.0 * 2.0 * static_cast<double>(big),
                    [&] { clamp_into(w, u, -1.0f, 1.0f); }});
+  cases.push_back({"relu_1m", static_cast<double>(big),
+                   4.0 * 2.0 * static_cast<double>(big), [&] {
+                     backend::active().relu(act.data(), u.data(), big);
+                   }});
+  cases.push_back({"relu_bwd_1m", static_cast<double>(big),
+                   4.0 * 3.0 * static_cast<double>(big), [&] {
+                     backend::active().relu_backward(act_grad.data(), u.data(),
+                                                     v.data(), big);
+                   }});
   const double conv_flops = conv_pass_flops(conv, kConvBatch, layer.size);
   const double x_bytes = 4.0 * static_cast<double>(conv_x.numel());
   const double y_bytes = 4.0 * static_cast<double>(conv_y.numel());
@@ -341,6 +362,17 @@ void report_kernel_performance() {
                      backend::active().conv_backward_params(
                          conv_dw.data(), conv_db.data(), conv_dy.data(),
                          conv_x.data(), conv_shape);
+                   }});
+  cases.push_back({"conv_fwd_l0",
+                   conv_pass_flops(conv0, kConvBatch, layer0.size),
+                   4.0 * static_cast<double>(conv0_x.numel() +
+                                             conv0.weight().value().numel() +
+                                             conv0_y.numel()),
+                   [&] {
+                     backend::active().conv_forward(
+                         conv0_y.data(), conv0_x.data(),
+                         conv0.weight().value().data(),
+                         conv0.bias().value().data(), conv0_shape);
                    }});
   // ~6 flops/element once exp is counted as one: max, sub, exp, sum, div.
   cases.push_back({"softmax_1024x64", 6.0 * 1024.0 * 64.0,

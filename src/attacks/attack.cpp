@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/parallel.hpp"
 #include "data/preprocess.hpp"
 #include "nn/loss.hpp"
 #include "nn/parameter.hpp"
@@ -57,11 +58,14 @@ void project_linf_(Tensor& adv, const Tensor& origin, float eps) {
   ZKG_CHECK(eps >= 0.0f) << " eps " << eps;
   float* pa = adv.data();
   const float* po = origin.data();
-  for (std::int64_t i = 0; i < adv.numel(); ++i) {
-    const float lo = std::max(po[i] - eps, data::kPixelMin);
-    const float hi = std::min(po[i] + eps, data::kPixelMax);
-    pa[i] = std::clamp(pa[i], lo, hi);
-  }
+  parallel_for_elements(adv.numel(), [&](std::int64_t begin,
+                                         std::int64_t end) {
+    for (std::int64_t i = begin; i < end; ++i) {
+      const float lo = std::max(po[i] - eps, data::kPixelMin);
+      const float hi = std::min(po[i] + eps, data::kPixelMax);
+      pa[i] = std::clamp(pa[i], lo, hi);
+    }
+  });
 }
 
 }  // namespace zkg::attacks

@@ -1,5 +1,7 @@
 #include "attacks/pgd.hpp"
 
+#include <random>
+
 #include "obs/telemetry.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/pool.hpp"
@@ -19,11 +21,15 @@ void Pgd::run_once(models::Classifier& model, const Tensor& images,
                    const std::vector<std::int64_t>& labels, Tensor& adv) {
   ensure_shape(adv, images.shape());
   // adv = images + U(-eps, eps), drawing noise in the same element order as
-  // the rand_uniform + add formulation.
+  // the rand_uniform + add formulation. uniform_real_distribution keeps no
+  // state between draws, so one instance yields rng_.uniform's stream.
+  std::uniform_real_distribution<float> noise(-budget_.epsilon,
+                                              budget_.epsilon);
+  std::mt19937_64& engine = rng_.engine();
   const float* src = images.data();
   float* dst = adv.data();
   for (std::int64_t i = 0; i < images.numel(); ++i) {
-    dst[i] = src[i] + rng_.uniform(-budget_.epsilon, budget_.epsilon);
+    dst[i] = src[i] + noise(engine);
   }
   project_linf_(adv, images, budget_.epsilon);
   for (std::int64_t it = 0; it < budget_.iterations; ++it) {

@@ -5,6 +5,7 @@
 
 #include "tensor/backend/backend.hpp"
 #include "tensor/contracts.hpp"
+#include "tensor/ops.hpp"
 #include "tensor/pool.hpp"
 
 namespace zkg::nn {
@@ -14,7 +15,7 @@ namespace zkg::nn {
 // bound and keep plain loops.
 
 void ReLU::forward_into(const Tensor& input, Tensor& out, bool /*training*/) {
-  cached_input_ = input;
+  copy_into(cached_input_, input);
   ensure_shape(out, input.shape());
   backend::active().relu(out.data(), cached_input_.data(), out.numel());
 }
@@ -33,7 +34,7 @@ LeakyReLU::LeakyReLU(float negative_slope) : slope_(negative_slope) {
 
 void LeakyReLU::forward_into(const Tensor& input, Tensor& out,
                              bool /*training*/) {
-  cached_input_ = input;
+  copy_into(cached_input_, input);
   ensure_shape(out, input.shape());
   backend::active().leaky_relu(out.data(), cached_input_.data(), slope_,
                                out.numel());

@@ -5,6 +5,7 @@
 
 #include "nn/init.hpp"
 #include "tensor/contracts.hpp"
+#include "tensor/ops.hpp"
 #include "tensor/pool.hpp"
 
 namespace zkg::nn {
@@ -77,6 +78,14 @@ backend::ConvShape Conv2d::conv_shape(const Shape& input_shape) {
         }
       }
     }
+    const std::int64_t spatial = oh * ow;
+    depth_offsets_.resize(offsets_.size());
+    for (std::int64_t pos = 0; pos < spatial; ++pos) {
+      for (std::int64_t kk = 0; kk < patch; ++kk) {
+        depth_offsets_[static_cast<std::size_t>(kk * spatial + pos)] =
+            offsets_[static_cast<std::size_t>(pos * patch + kk)];
+      }
+    }
     offsets_h_ = h;
     offsets_w_ = w;
   }
@@ -87,13 +96,14 @@ backend::ConvShape Conv2d::conv_shape(const Shape& input_shape) {
   shape.spatial = oh * ow;
   shape.patch = patch;
   shape.offsets = offsets_.data();
+  shape.depth_offsets = depth_offsets_.data();
   return shape;
 }
 
 void Conv2d::forward_into(const Tensor& input, Tensor& out,
                           bool /*training*/) {
   const backend::ConvShape shape = conv_shape(input.shape());
-  cached_input_ = input;  // the pass reads the copy, so `out` may alias
+  copy_into(cached_input_, input);  // the pass reads the copy: `out` may alias
   ensure_shape(out, {shape.batch, cfg_.out_channels,
                      out_size(input.dim(2)), out_size(input.dim(3))});
   backend::active().conv_forward(out.data(), cached_input_.data(),

@@ -36,9 +36,9 @@ class Conv2d : public Module {
   Parameter& bias() { return bias_; }
 
   /// The backend view of a convolution over `input_shape` [B, C, H, W].
-  /// The patch offset table is rebuilt only when H or W change, so a new
-  /// batch size costs nothing; `offsets` stays valid until a call with
-  /// another spatial size.
+  /// The patch offset tables are rebuilt only when H or W change, so a new
+  /// batch size costs nothing; `offsets` and `depth_offsets` stay valid
+  /// until a call with another spatial size.
   backend::ConvShape conv_shape(const Shape& input_shape);
 
  private:
@@ -46,8 +46,10 @@ class Conv2d : public Module {
   Parameter weight_;  // [OC, C*K*K]
   Parameter bias_;    // [OC]
   Tensor cached_input_;  // the last forward input, read by backward
-  // [OH*OW, C*K*K] patch offsets for inputs of offsets_h_ x offsets_w_.
+  // [OH*OW, C*K*K] patch offsets for inputs of offsets_h_ x offsets_w_,
+  // and the same table depth-major, [C*K*K, OH*OW].
   std::vector<std::int32_t> offsets_;
+  std::vector<std::int32_t> depth_offsets_;
   std::int64_t offsets_h_ = 0;
   std::int64_t offsets_w_ = 0;
   // Persistent gradient scratch, so backward runs allocation-free at

@@ -5,6 +5,7 @@
 #include "nn/init.hpp"
 #include "tensor/contracts.hpp"
 #include "tensor/linalg.hpp"
+#include "tensor/ops.hpp"
 
 namespace zkg::nn {
 
@@ -22,7 +23,7 @@ void Dense::forward_into(const Tensor& input, Tensor& out, bool /*training*/) {
   ZKG_REQUIRE(input.ndim() == 2 && input.dim(1) == in_features_)
       << " Dense expects [B, " << in_features_ << "], got "
       << shape_to_string(input.shape());
-  cached_input_ = input;
+  copy_into(cached_input_, input);
   matmul_nt_into(out, input, weight_.value());  // [B, out]
   add_row_bias_(out, bias_.value());
 }

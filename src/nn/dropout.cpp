@@ -16,7 +16,11 @@ Dropout::Dropout(float rate, Rng& rng) : rate_(rate), rng_(rng.fork()) {
 void Dropout::forward_into(const Tensor& input, Tensor& out, bool training) {
   if (!training || rate_ == 0.0f) {
     mask_active_ = false;
-    out = input;
+    // Sized through the pool like every layer output: `out` is usually a
+    // Workspace buffer, and one sized outside the pool would be parked on
+    // the free list at scope exit, a fresh one every eval pass.
+    ensure_shape(out, input.shape());
+    copy_into(out, input);
     return;
   }
   ensure_shape(mask_, input.shape());
@@ -27,7 +31,8 @@ void Dropout::forward_into(const Tensor& input, Tensor& out, bool training) {
 
 void Dropout::backward_into(const Tensor& grad_output, Tensor& grad_input) {
   if (!mask_active_) {  // inference pass-through
-    grad_input = grad_output;
+    ensure_shape(grad_input, grad_output.shape());
+    copy_into(grad_input, grad_output);
     return;
   }
   mul_into(grad_input, grad_output, mask_);

@@ -18,15 +18,17 @@
 //
 // Convolution runs the same microkernel as an implicit GEMM: operands are
 // gathered straight from the NCHW tensors through the layer's patch
-// offset table, so no patch matrix or reordered copy is ever built. dW
-// splits its (b, s) depth into KC blocks computed in parallel and folded
-// in block order (DESIGN.md §13).
+// offset tables with AVX2 masked gathers (padding lanes read nothing and
+// stay 0), so no patch matrix or reordered copy is ever built. dW splits
+// its (b, s) depth into KC blocks computed in parallel and folded in block
+// order (DESIGN.md §13).
 //
 // Elementwise/activation kernels are straightforward 8-lane loops chosen
 // to match the scalar backend's arithmetic exactly (one rounding per
 // element, no reassociation): add/sub/mul, axpy, the fused
 // sign-ascent step, clamp and the ReLU family are bit-identical to
-// scalar; softmax and GEMM agree within tolerance.
+// scalar; softmax and GEMM agree within tolerance. The table runs each
+// over parallel_for_elements chunks (Chunked, scalar_kernels.hpp).
 //
 // This file is the only one allowed to touch <immintrin.h> outside
 // tools/analyze.py's simd-outside-backend allowlist. It compiles with
@@ -256,12 +258,36 @@ float* tile_scratch(std::int64_t n) {
   return tile.data();
 }
 
+/// dst[0, 8) = image[idx[j]] for the eight offsets at idx, and 0 where an
+/// offset is -1: the masked-off padding lanes read no memory.
+inline void gather8(float* dst, const float* image, const std::int32_t* idx) {
+  const __m256i vidx =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx));
+  const __m256 live = _mm256_castsi256_ps(
+      _mm256_cmpgt_epi32(vidx, _mm256_set1_epi32(-1)));
+  _mm256_storeu_ps(dst, _mm256_mask_i32gather_ps(_mm256_setzero_ps(), image,
+                                                 vidx, live, 4));
+}
+
 /// Forward B slab: depth [kc, kc+kcnt) x positions [s0, s0+nr) of one
 /// image into dst[kk*NR + j], zero for padding and for columns j >= nr.
-void gather_positions(float* dst, const float* image,
-                      const std::int32_t* offsets, std::int64_t k,
+/// A full slab reads each depth row's 16 offsets contiguously from the
+/// depth-major table and gathers them in two instructions; an edge slab
+/// walks the position-major table one float at a time.
+void gather_positions(float* dst, const float* image, const ConvShape& shape,
                       std::int64_t s0, std::int64_t nr, std::int64_t kc,
                       std::int64_t kcnt) {
+  if (nr == kNR) {
+    for (std::int64_t kk = 0; kk < kcnt; ++kk) {
+      const std::int32_t* row =
+          shape.depth_offsets + (kc + kk) * shape.spatial + s0;
+      gather8(dst + kk * kNR, image, row);
+      gather8(dst + kk * kNR + 8, image, row + 8);
+    }
+    return;
+  }
+  const std::int32_t* offsets = shape.offsets;
+  const std::int64_t k = shape.patch;
   for (std::int64_t j = 0; j < kNR; ++j) {
     if (j >= nr) {
       for (std::int64_t kk = 0; kk < kcnt; ++kk) dst[kk * kNR + j] = 0.0f;
@@ -296,7 +322,7 @@ void conv_forward(float* y, const float* x, const float* w, const float* bias,
         const std::int64_t nr = std::min(kNR, s - jr);
         for (std::int64_t kc = 0; kc < k; kc += kKC) {
           const std::int64_t kcnt = std::min(kKC, k - kc);
-          gather_positions(bslab, image, shape.offsets, k, jr, nr, kc, kcnt);
+          gather_positions(bslab, image, shape, jr, nr, kc, kcnt);
           const float* apack = wpack.data() + oc_pad * kc;
           for (std::int64_t ir = 0; ir < oc; ir += kMR) {
             const std::int64_t mr = std::min(kMR, oc - ir);
@@ -374,7 +400,9 @@ void conv_backward_input(float* dx, const float* dy, const float* w,
 }
 
 /// dW's B slab: flattened (b, s) rows [r0, r0+kcnt) x patch columns
-/// [j0, j0+nr) into dst[kk*NR + j], zero for padding and for j >= nr.
+/// [j0, j0+nr) into dst[kk*NR + j], zero for padding and for j >= nr. Each
+/// row's offsets are contiguous in the position-major table, so a full
+/// slab row is two gathers.
 void gather_patches(float* dst, const float* x, const ConvShape& shape,
                     std::int64_t r0, std::int64_t kcnt, std::int64_t j0,
                     std::int64_t nr) {
@@ -385,6 +413,11 @@ void gather_patches(float* dst, const float* x, const ConvShape& shape,
     const float* image = x + (r / s) * shape.in_image;
     const std::int32_t* row = shape.offsets + (r % s) * k + j0;
     float* out = dst + kk * kNR;
+    if (nr == kNR) {
+      gather8(out, image, row);
+      gather8(out + 8, image, row + 8);
+      continue;
+    }
     for (std::int64_t j = 0; j < nr; ++j) {
       out[j] = row[j] >= 0 ? image[row[j]] : 0.0f;
     }
@@ -683,18 +716,18 @@ const KernelBackend* avx2_backend_if_supported() {
       conv_forward,
       conv_backward_input,
       conv_backward_params,
-      add,
-      sub,
-      mul,
-      add_scalar,
-      mul_scalar,
-      axpy,
-      add_scaled_sign,
-      clamp,
-      relu,
-      relu_backward,
-      leaky_relu,
-      leaky_relu_backward,
+      Chunked<add>::run,
+      Chunked<sub>::run,
+      Chunked<mul>::run,
+      Chunked<add_scalar>::run,
+      Chunked<mul_scalar>::run,
+      Chunked<axpy>::run,
+      Chunked<add_scaled_sign>::run,
+      Chunked<clamp>::run,
+      Chunked<relu>::run,
+      Chunked<relu_backward>::run,
+      Chunked<leaky_relu>::run,
+      Chunked<leaky_relu_backward>::run,
       softmax_rows,
   };
   return &table;

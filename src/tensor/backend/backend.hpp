@@ -36,14 +36,17 @@ namespace zkg::backend {
 /// padding are folded into `offsets`, the per-image patch table built once
 /// per geometry by nn::Conv2d: patch element kk (in (ci, ky, kx) order) of
 /// output position s reads element offsets[s*patch + kk] of its input
-/// image, or zero where that entry is -1 (padding).
+/// image, or zero where that entry is -1 (padding). `depth_offsets` is the
+/// same table depth-major (depth_offsets[kk*spatial + s]), so the offsets
+/// of one patch element over consecutive positions are contiguous.
 struct ConvShape {
   std::int64_t batch = 0;
   std::int64_t in_image = 0;      // C*H*W: floats per input image
   std::int64_t out_channels = 0;  // OC
   std::int64_t spatial = 0;       // OH*OW
   std::int64_t patch = 0;         // C*k*k
-  const std::int32_t* offsets = nullptr;  // [spatial, patch]
+  const std::int32_t* offsets = nullptr;        // [spatial, patch]
+  const std::int32_t* depth_offsets = nullptr;  // [patch, spatial]
 };
 
 /// Function table of raw kernels. Pointers are never null. All buffers are
@@ -88,7 +91,10 @@ struct KernelBackend {
 
   // ---- hot elementwise kernels over n contiguous floats ----
   // `out` may alias `a` (the in-place entry points rely on it); binary
-  // kernels may also alias `out` with `b`.
+  // kernels may also alias `out` with `b`. Every elementwise and
+  // activation entry runs over parallel_for_elements chunks (inline up to
+  // kElementwiseGrain floats); elements are independent, so the result
+  // does not depend on the thread count.
   void (*add)(float* out, const float* a, const float* b, std::int64_t n);
   void (*sub)(float* out, const float* a, const float* b, std::int64_t n);
   void (*mul)(float* out, const float* a, const float* b, std::int64_t n);

@@ -4,7 +4,9 @@
 // the library's historical results — it is both the fallback for CPUs
 // without AVX2 and the reference the SIMD backends are tested against.
 // The conv passes run those same dot-product and rank-1 loops one output
-// position at a time over a gathered patch.
+// position at a time over a gathered patch. The table runs the
+// elementwise loops over parallel_for_elements chunks (Chunked), which
+// leaves every element's arithmetic as it was.
 #include <algorithm>
 #include <cmath>
 #include <vector>
@@ -329,18 +331,18 @@ const KernelBackend& scalar_backend() {
       scalar::conv_forward,
       scalar::conv_backward_input,
       scalar::conv_backward_params,
-      scalar::add,
-      scalar::sub,
-      scalar::mul,
-      scalar::add_scalar,
-      scalar::mul_scalar,
-      scalar::axpy,
-      scalar::add_scaled_sign,
-      scalar::clamp,
-      scalar::relu,
-      scalar::relu_backward,
-      scalar::leaky_relu,
-      scalar::leaky_relu_backward,
+      Chunked<scalar::add>::run,
+      Chunked<scalar::sub>::run,
+      Chunked<scalar::mul>::run,
+      Chunked<scalar::add_scalar>::run,
+      Chunked<scalar::mul_scalar>::run,
+      Chunked<scalar::axpy>::run,
+      Chunked<scalar::add_scaled_sign>::run,
+      Chunked<scalar::clamp>::run,
+      Chunked<scalar::relu>::run,
+      Chunked<scalar::relu_backward>::run,
+      Chunked<scalar::leaky_relu>::run,
+      Chunked<scalar::leaky_relu_backward>::run,
       scalar::softmax_rows,
   };
   return table;

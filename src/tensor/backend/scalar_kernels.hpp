@@ -6,11 +6,58 @@
 // backend reuses the ones where explicit vectorization buys nothing
 // (col_sum, the conv bias gradient) or where determinism demands the
 // double-accumulator form.
+//
+// It also holds Chunked, the one wrapper both tables put around their
+// serial elementwise loops to run them over parallel_for_elements.
 #pragma once
 
 #include <cstdint>
+#include <tuple>
 
+#include "common/parallel.hpp"
 #include "tensor/backend/backend.hpp"
+
+namespace zkg::backend {
+namespace chunk_detail {
+
+// One kernel argument narrowed to the chunk [begin, end): buffers advance
+// to `begin`, the trailing element count becomes end - begin, and scalar
+// parameters (alpha, slope, clamp bounds) pass through.
+inline float* narrow(float* p, std::int64_t begin, std::int64_t) {
+  return p + begin;
+}
+inline const float* narrow(const float* p, std::int64_t begin,
+                           std::int64_t) {
+  return p + begin;
+}
+inline float narrow(float v, std::int64_t, std::int64_t) { return v; }
+inline std::int64_t narrow(std::int64_t, std::int64_t begin,
+                           std::int64_t end) {
+  return end - begin;
+}
+
+}  // namespace chunk_detail
+
+/// Chunked<Kernel>::run has Kernel's signature — buffers and scalars, then
+/// the element count n last — and runs Kernel over parallel_for_elements
+/// chunks of [0, n). Elements are independent, so the result is
+/// bit-identical to one serial call for any chunking, and a destination
+/// aliasing an input stays safe (each chunk reads and writes the same
+/// range).
+template <auto Kernel>
+struct Chunked;
+
+template <typename... Args, void (*Kernel)(Args...)>
+struct Chunked<Kernel> {
+  static void run(Args... args) {
+    const std::int64_t n = std::get<sizeof...(Args) - 1>(std::tie(args...));
+    parallel_for_elements(n, [&](std::int64_t begin, std::int64_t end) {
+      Kernel(chunk_detail::narrow(args, begin, end)...);
+    });
+  }
+};
+
+}  // namespace zkg::backend
 
 namespace zkg::backend::scalar {
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/parallel.hpp"
 #include "tensor/backend/backend.hpp"
 #include "tensor/contracts.hpp"
 #include "tensor/pool.hpp"
@@ -26,7 +27,26 @@ void binary_dispatch_into(Tensor& out, const Tensor& a, const Tensor& b,
   (backend::active().*kernel)(out.data(), a.data(), b.data(), a.numel());
 }
 
+/// dst[0, n) = src[0, n), chunked like the elementwise kernels.
+void copy_floats(float* dst, const float* src, std::int64_t n) {
+  parallel_for_elements(n, [&](std::int64_t begin, std::int64_t end) {
+    std::copy(src + begin, src + end, dst + begin);
+  });
+}
+
 }  // namespace
+
+void copy_into(Tensor& out, const Tensor& a) {
+  if (&out == &a) return;
+  if (out.shape() != a.shape()) {
+    const auto numel = static_cast<std::size_t>(a.numel());
+    FloatBuffer storage = std::move(out.storage());
+    if (storage.capacity() < numel) FloatBuffer().swap(storage);
+    storage.resize(numel);
+    out = Tensor(a.shape(), std::move(storage));
+  }
+  copy_floats(out.data(), a.data(), a.numel());
+}
 
 void add_(Tensor& a, const Tensor& b) {
   ZKG_REQUIRE_SAME_SHAPE(a, b, "add_");
@@ -172,8 +192,8 @@ void concat_rows_into(Tensor& out, const Tensor& a, const Tensor& b) {
   Shape out_shape = a.shape();
   out_shape[0] = a.dim(0) + b.dim(0);
   ensure_shape(out, out_shape);
-  out.assign_rows(0, a);
-  out.assign_rows(a.dim(0), b);
+  copy_floats(out.data(), a.data(), a.numel());
+  copy_floats(out.data() + a.numel(), b.data(), b.numel());
 }
 
 void gather_rows_into(Tensor& out, const Tensor& a,

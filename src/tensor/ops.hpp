@@ -15,6 +15,15 @@
 
 namespace zkg {
 
+// ---- copy ----
+/// out = a, shape and values, copied over parallel_for_elements chunks.
+/// Unlike the other `_into` forms, `out` is sized as copy assignment sizes
+/// it: in place when its capacity suffices, else in a new buffer outside
+/// the pool. The layer caches read by backward copy through it, so a
+/// cache never holds a pooled buffer; a destination that should be pooled
+/// is sized with ensure_shape first.
+void copy_into(Tensor& out, const Tensor& a);
+
 // ---- element-wise binary (same shape) ----
 void add_(Tensor& a, const Tensor& b);
 void mul_(Tensor& a, const Tensor& b);

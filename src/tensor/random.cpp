@@ -1,5 +1,7 @@
 #include "tensor/random.hpp"
 
+#include <random>
+
 #include "tensor/contracts.hpp"
 
 namespace zkg {
@@ -30,9 +32,14 @@ void fill_dropout_mask(Tensor& mask, Rng& rng, float keep_prob) {
   ZKG_REQUIRE(keep_prob > 0.0f && keep_prob <= 1.0f)
       << " keep_prob " << keep_prob << " outside (0, 1]";
   const float scale = 1.0f / keep_prob;
+  // One distribution for the whole mask: bernoulli_distribution keeps no
+  // state between draws, so this is the stream of per-element
+  // rng.bernoulli(keep_prob) calls.
+  std::bernoulli_distribution keep(keep_prob);
+  std::mt19937_64& engine = rng.engine();
   float* p = mask.data();
   for (std::int64_t i = 0; i < mask.numel(); ++i) {
-    p[i] = rng.bernoulli(keep_prob) ? scale : 0.0f;
+    p[i] = keep(engine) ? scale : 0.0f;
   }
 }
 

@@ -135,21 +135,6 @@ Tensor Tensor::slice_rows(std::int64_t begin, std::int64_t end) const {
   return Tensor(std::move(out_shape), std::move(out_data));
 }
 
-void Tensor::assign_rows(std::int64_t row, const Tensor& source) {
-  const std::int64_t stride = row_stride();
-  ZKG_REQUIRE(source.ndim() == ndim())
-      << " assign_rows rank mismatch: " << shape_to_string(shape_) << " vs "
-      << shape_to_string(source.shape_);
-  ZKG_REQUIRE(source.row_stride() == stride)
-      << " assign_rows inner-shape mismatch";
-  const std::int64_t source_rows = source.dim(0);
-  ZKG_REQUIRE(row >= 0 && row + source_rows <= dim(0))
-      << " assign_rows [" << row << ", " << row + source_rows << ") of "
-      << dim(0) << " rows";
-  std::copy(source.data_.begin(), source.data_.end(),
-            data_.begin() + static_cast<std::ptrdiff_t>(row * stride));
-}
-
 void Tensor::fill(float value) {
   std::fill(data_.begin(), data_.end(), value);
 }

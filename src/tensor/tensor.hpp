@@ -99,9 +99,6 @@ class Tensor {
   /// Rows [begin, end) along axis 0 as a new tensor.
   Tensor slice_rows(std::int64_t begin, std::int64_t end) const;
 
-  /// Copies `source` into rows starting at `row` (axis 0).
-  void assign_rows(std::int64_t row, const Tensor& source);
-
   void fill(float value);
 
   /// Exact element-wise equality (shape included).

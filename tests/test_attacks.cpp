@@ -280,6 +280,32 @@ TEST(Fgsm, MovesPixelsByExactlyEpsilonInInterior) {
   EXPECT_GT(moved, delta.numel() / 2);  // gradients are almost never zero
 }
 
+// PGD's random start draws through one hoisted uniform_real_distribution;
+// it must consume the attack stream exactly as one Rng::uniform call per
+// element. With every weight zero the input gradient is exactly zero, so
+// each ascent step adds 0 and the attack returns its projected start.
+TEST(Pgd, RandomStartMatchesPerElementUniformDraws) {
+  Rng rng(21);
+  models::Classifier model =
+      models::build_lenet({1, 28, 28, 10}, models::Preset::kBench, rng);
+  for (nn::Parameter* p : model.parameters()) p->value().fill(0.0f);
+  Rng data_rng(22);
+  const Tensor x = rand_uniform({2, 1, 28, 28}, data_rng, -0.9f, 0.9f);
+  const AttackBudget budget{.epsilon = 0.1f, .step_size = 0.05f,
+                            .iterations = 2};
+  Rng attack_rng(23);
+  Pgd pgd(budget, attack_rng);
+  const Tensor adv = pgd.generate(model, x, {0, 1});
+
+  Rng reference = Rng(23).fork();  // the stream Pgd forks for itself
+  Tensor expected(x.shape());
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    expected[i] = x[i] + reference.uniform(-budget.epsilon, budget.epsilon);
+  }
+  project_linf_(expected, x, budget.epsilon);
+  EXPECT_TRUE(adv.equals(expected));
+}
+
 TEST(Attacks, BadBudgetsRejected) {
   Rng rng(15);
   EXPECT_THROW(Fgsm(AttackBudget{.epsilon = -1.0f}), InvalidArgument);

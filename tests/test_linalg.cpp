@@ -4,9 +4,12 @@
 // per-backend run-to-run bit identity.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "tensor/backend/backend.hpp"
 #include "tensor/linalg.hpp"
@@ -259,6 +262,85 @@ TEST(CrossBackend, ElementwiseKernelsAreBitIdentical) {
   EXPECT_TRUE(a_clamp.equals(s_clamp));
   EXPECT_TRUE(a_axpy.equals(s_axpy));
   EXPECT_TRUE(a_sign.equals(s_sign));
+}
+
+// Every elementwise backend entry and copy_into run over
+// parallel_for_elements chunks. On every backend, each must match one
+// serial call bit for bit at sizes around the chunk grain, with the
+// destination fresh or aliasing either input. In-place entries (axpy, the
+// sign step) update a destination that starts as a copy of `a`.
+TEST(ParallelKernels, ElementwiseBitIdenticalToSerial) {
+  using Kernel = std::function<void(const backend::KernelBackend&, float*,
+                                    const float*, const float*,
+                                    std::int64_t)>;
+  using B = const backend::KernelBackend&;
+  const std::vector<std::pair<const char*, Kernel>> kernels = {
+      {"add", [](B k, float* o, const float* a, const float* b,
+                 std::int64_t n) { k.add(o, a, b, n); }},
+      {"sub", [](B k, float* o, const float* a, const float* b,
+                 std::int64_t n) { k.sub(o, a, b, n); }},
+      {"mul", [](B k, float* o, const float* a, const float* b,
+                 std::int64_t n) { k.mul(o, a, b, n); }},
+      {"add_scalar", [](B k, float* o, const float* a, const float*,
+                        std::int64_t n) { k.add_scalar(o, a, 0.3f, n); }},
+      {"mul_scalar", [](B k, float* o, const float* a, const float*,
+                        std::int64_t n) { k.mul_scalar(o, a, -1.7f, n); }},
+      {"axpy", [](B k, float* o, const float*, const float* b,
+                  std::int64_t n) { k.axpy(o, 0.37f, b, n); }},
+      {"add_scaled_sign", [](B k, float* o, const float*, const float* b,
+                             std::int64_t n) {
+         k.add_scaled_sign(o, 0.07f, b, n);
+       }},
+      {"clamp", [](B k, float* o, const float* a, const float*,
+                   std::int64_t n) { k.clamp(o, a, -0.5f, 0.8f, n); }},
+      {"relu", [](B k, float* o, const float* a, const float*,
+                  std::int64_t n) { k.relu(o, a, n); }},
+      {"relu_backward", [](B k, float* o, const float* a, const float* b,
+                           std::int64_t n) { k.relu_backward(o, a, b, n); }},
+      {"leaky_relu", [](B k, float* o, const float* a, const float*,
+                        std::int64_t n) { k.leaky_relu(o, a, 0.2f, n); }},
+      {"leaky_relu_backward", [](B k, float* o, const float* a,
+                                 const float* b, std::int64_t n) {
+         k.leaky_relu_backward(o, a, b, 0.2f, n);
+       }},
+  };
+  enum class Alias { kNone, kOutIsA, kOutIsB };
+  const std::int64_t g = kElementwiseGrain;
+  for (const std::int64_t n : {std::int64_t{1}, g - 1, g, g + 7,
+                               3 * g + 5}) {
+    Rng rng(static_cast<std::uint64_t>(n));
+    const Tensor a = randn({n}, rng);
+    Tensor b = randn({n}, rng);
+    for (std::int64_t i = 0; i < n; i += 5) b[i] = 0.0f;  // sign(0), 0 > 0
+    for (const backend::KernelBackend* be : testutil::available_backends()) {
+      for (const auto& [name, kernel] : kernels) {
+        for (const Alias alias : {Alias::kNone, Alias::kOutIsA,
+                                  Alias::kOutIsB}) {
+          const auto run = [&] {
+            Tensor out = alias == Alias::kOutIsB ? b : a;
+            const float* pa = alias == Alias::kOutIsA ? out.data() : a.data();
+            const float* pb = alias == Alias::kOutIsB ? out.data() : b.data();
+            kernel(*be, out.data(), pa, pb, n);
+            return out;
+          };
+          const Tensor parallel = run();
+          const SerialScope serial;
+          EXPECT_TRUE(parallel.equals(run()))
+              << be->name << " " << name << " n=" << n << " alias "
+              << static_cast<int>(alias);
+        }
+      }
+    }
+    Tensor copied({3}, 9.0f);  // dirty and too small: copy_into regrows it
+    copy_into(copied, a);
+    Tensor serial_copy;
+    {
+      const SerialScope serial;
+      copy_into(serial_copy, a);
+    }
+    EXPECT_TRUE(copied.equals(serial_copy)) << "copy_into n=" << n;
+    EXPECT_TRUE(copied.equals(a)) << "copy_into n=" << n;
+  }
 }
 
 // Determinism contract: each backend is bit-identical run to run — the

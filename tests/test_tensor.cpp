@@ -78,16 +78,6 @@ TEST(Tensor, SliceRows) {
   EXPECT_THROW(t.slice_rows(0, 5), InvalidArgument);
 }
 
-TEST(Tensor, AssignRows) {
-  Tensor t({4, 2});
-  const Tensor s({2, 2}, std::vector<float>{9, 8, 7, 6});
-  t.assign_rows(2, s);
-  EXPECT_FLOAT_EQ(t.at(2, 0), 9.0f);
-  EXPECT_FLOAT_EQ(t.at(3, 1), 6.0f);
-  EXPECT_FLOAT_EQ(t.at(1, 1), 0.0f);
-  EXPECT_THROW(t.assign_rows(3, s), InvalidArgument);  // overruns
-}
-
 TEST(Tensor, EqualsAndAllclose) {
   const Tensor a({2}, std::vector<float>{1.0f, 2.0f});
   Tensor b = a;
@@ -268,6 +258,21 @@ TEST(Random, DropoutMaskInvertedScaling) {
   EXPECT_NEAR(mean(mask), 1.0f, 0.02f);
   Tensor small({4});
   EXPECT_THROW(fill_dropout_mask(small, rng, 0.0f), InvalidArgument);
+}
+
+// fill_dropout_mask draws through one hoisted bernoulli_distribution; it
+// must consume the stream exactly as one Rng::bernoulli call per element.
+TEST(Random, DropoutMaskMatchesPerElementBernoulliDraws) {
+  Rng rng(41);
+  Rng reference(41);
+  Tensor mask({5000});
+  fill_dropout_mask(mask, rng, 0.7f);
+  const float scale = 1.0f / 0.7f;
+  for (std::int64_t i = 0; i < mask.numel(); ++i) {
+    const float expected = reference.bernoulli(0.7f) ? scale : 0.0f;
+    ASSERT_EQ(mask[i], expected) << "element " << i;
+  }
+  EXPECT_EQ(rng.engine()(), reference.engine()());  // streams stay in step
 }
 
 TEST(RngDeterminism, SameSeedSameStream) {

@@ -15,7 +15,9 @@
 #include "common/rng.hpp"
 #include "data/dataset.hpp"
 #include "data/preprocess.hpp"
+#include "defense/adv_training.hpp"
 #include "defense/cls.hpp"
+#include "eval/experiments.hpp"
 #include "models/discriminator.hpp"
 #include "models/lenet.hpp"
 #include "models/session.hpp"
@@ -301,6 +303,40 @@ TEST(SteadyState, ClsTrainingStepHasZeroPoolMissesAfterWarmup) {
   EXPECT_GT(stats.hits, 0u);  // the workspace ping-pong recycles every step
   EXPECT_EQ(stats.bytes_allocated, 0u);
   EXPECT_GT(stats.bytes_recycled, 0u);
+}
+
+// PGD-Adv on the bench allCNN with input dropout, as perfbench's
+// train-pgdadv-allcnn trains it: the attack forwards and backwards the
+// batch of 64 with dropout off (its eval pass-through copies), then the
+// training step forwards clean + adversarial rows as a batch of 128, so
+// every layer cache shrinks and regrows each step. After a warmup fit at
+// both sizes, another fit takes no buffer from the allocator and leaves no
+// more buffers parked on the pool's free list than it found.
+TEST(SteadyState, PgdAdvAllCnnStepHasZeroPoolMissesAfterWarmup) {
+  const eval::ExperimentScale scale =
+      eval::scale_for(data::DatasetId::kObjects);
+  ASSERT_GT(scale.input_dropout, 0.0f);
+  Rng data_rng(3);
+  const data::Dataset train =
+      data::scale_pixels(data::make_synth_objects(128, data_rng));
+  Rng model_rng(4);
+  models::Classifier model =
+      eval::build_model_for(data::DatasetId::kObjects, scale, model_rng);
+  defense::TrainConfig config = eval::base_train_config(scale, 5);
+  config.epochs = 1;
+  config.batch_size = 64;
+  const defense::TrainerPtr trainer = defense::make_pgd_adv(model, config);
+
+  trainer->fit(train);  // warmup: both batch sizes seen, pool fills
+  const std::uint64_t parked = BufferPool::global().stats().free_buffers;
+
+  BufferPool::global().reset_stats();
+  trainer->fit(train);
+  const PoolStats stats = BufferPool::global().stats();
+  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(stats.bytes_allocated, 0u);
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_LE(stats.free_buffers, parked);
 }
 
 // Same property for a white-box PGD attack step driven through
