@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "data/batcher.hpp"
-#include "optim/optimizer.hpp"
+#include "optim/adam.hpp"
 #include "tensor/tensor.hpp"
 
 namespace zkg::ckpt {

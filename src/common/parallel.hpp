@@ -1,5 +1,5 @@
 // zkg::parallel_for — the single parallel execution entry point for every
-// hot kernel (GEMM variants, the conv passes, BatchNorm, and through
+// hot kernel (GEMM variants, the conv passes, and through
 // parallel_for_elements the elementwise kernels and tensor copies).
 //
 // The engine is the in-tree zkg::ThreadPool (ThreadPool::shared(), sized

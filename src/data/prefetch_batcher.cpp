@@ -15,9 +15,10 @@ PrefetchBatcher::PrefetchBatcher(const Dataset& dataset,
       pool_(pool != nullptr ? pool : &ThreadPool::shared()),
       buffers_(BufferPool::global()) {
   // The inner Batcher's constructor already ran its first start_epoch (same
-  // as the synchronous path), so prime the pipeline from that permutation.
+  // as the synchronous path). Nothing is gathered yet: a trainer calls
+  // start_epoch() first, which would discard a batch primed here, so the
+  // first next_into() primes the pipeline instead.
   epoch_state_ = inner_.state();
-  submit_fill();
 }
 
 PrefetchBatcher::~PrefetchBatcher() {
@@ -99,7 +100,8 @@ bool PrefetchBatcher::next_into(Batch& out) {
   {
     std::unique_lock lock(mutex_);
     if (slot_state_ == SlotState::kIdle) {
-      // Only reachable after a fill() error was rethrown: re-prime.
+      // Nothing in flight: the first call after construction, or the
+      // call after a fill() error was rethrown. Prime the slot.
       lock.unlock();
       submit_fill();
       lock.lock();

@@ -32,7 +32,8 @@ namespace zkg::data {
 class PrefetchBatcher : public BatchSource {
  public:
   /// Same signature and RNG semantics as Batcher (one rng.fork()). Worker
-  /// tasks run on `pool` (default: the process-wide shared pool).
+  /// tasks run on `pool` (default: the process-wide shared pool). Gathers
+  /// nothing until the first next_into() or start_epoch().
   PrefetchBatcher(const Dataset& dataset, std::int64_t batch_size, Rng& rng,
                   bool shuffle = true, ThreadPool* pool = nullptr);
   /// Joins any in-flight fill, then returns the slot buffer to the pool.

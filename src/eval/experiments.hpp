@@ -90,8 +90,9 @@ struct Table3Result {
   Table accuracy_table() const;
   /// The same data as Figure 4 series (one line per defense).
   Table figure4_series() const;
-  /// §V-A headline numbers: ZK-GanDef's best gain over {CLP, CLS} and worst
-  /// gap to {FGSM/PGD-Adv, PGD-GanDef} across adversarial columns.
+  /// §V-A headline numbers: ZK-GanDef's signed FGSM/BIM/PGD gap to the
+  /// better of {CLP, CLS} per column, and its worst gap to {FGSM/PGD-Adv,
+  /// PGD-GanDef} across adversarial columns.
   std::string headline_summary() const;
 };
 

@@ -18,51 +18,6 @@ double accuracy(const std::vector<std::int64_t>& predictions,
   return static_cast<double>(correct) / static_cast<double>(labels.size());
 }
 
-ConfusionMatrix::ConfusionMatrix(std::int64_t num_classes)
-    : num_classes_(num_classes),
-      cells_(static_cast<std::size_t>(num_classes * num_classes), 0) {
-  ZKG_CHECK(num_classes > 0) << " ConfusionMatrix(" << num_classes << ")";
-}
-
-void ConfusionMatrix::add(std::int64_t truth, std::int64_t predicted) {
-  ZKG_CHECK(truth >= 0 && truth < num_classes_ && predicted >= 0 &&
-            predicted < num_classes_)
-      << " confusion add(" << truth << ", " << predicted << ")";
-  ++cells_[static_cast<std::size_t>(truth * num_classes_ + predicted)];
-  ++total_;
-}
-
-void ConfusionMatrix::add_all(const std::vector<std::int64_t>& truths,
-                              const std::vector<std::int64_t>& predictions) {
-  ZKG_CHECK(truths.size() == predictions.size())
-      << " confusion add_all size mismatch";
-  for (std::size_t i = 0; i < truths.size(); ++i) {
-    add(truths[i], predictions[i]);
-  }
-}
-
-std::int64_t ConfusionMatrix::count(std::int64_t truth,
-                                    std::int64_t predicted) const {
-  ZKG_CHECK(truth >= 0 && truth < num_classes_ && predicted >= 0 &&
-            predicted < num_classes_)
-      << " confusion count(" << truth << ", " << predicted << ")";
-  return cells_[static_cast<std::size_t>(truth * num_classes_ + predicted)];
-}
-
-double ConfusionMatrix::accuracy() const {
-  if (total_ == 0) return 0.0;
-  std::int64_t correct = 0;
-  for (std::int64_t c = 0; c < num_classes_; ++c) correct += count(c, c);
-  return static_cast<double>(correct) / static_cast<double>(total_);
-}
-
-double ConfusionMatrix::per_class_recall(std::int64_t c) const {
-  std::int64_t row_total = 0;
-  for (std::int64_t p = 0; p < num_classes_; ++p) row_total += count(c, p);
-  if (row_total == 0) return 0.0;
-  return static_cast<double>(count(c, c)) / static_cast<double>(row_total);
-}
-
 PerturbationStats perturbation_stats(const Tensor& original,
                                      const Tensor& adversarial) {
   check_same_shape(original, adversarial, "perturbation_stats");

@@ -12,29 +12,6 @@ namespace zkg::eval {
 double accuracy(const std::vector<std::int64_t>& predictions,
                 const std::vector<std::int64_t>& labels);
 
-/// Row-major confusion matrix [num_classes x num_classes];
-/// entry (t, p) counts examples of true class t predicted as p.
-class ConfusionMatrix {
- public:
-  explicit ConfusionMatrix(std::int64_t num_classes);
-
-  void add(std::int64_t truth, std::int64_t predicted);
-  void add_all(const std::vector<std::int64_t>& truths,
-               const std::vector<std::int64_t>& predictions);
-
-  std::int64_t count(std::int64_t truth, std::int64_t predicted) const;
-  std::int64_t total() const { return total_; }
-  double accuracy() const;
-  /// Recall of class `c` (0 when the class never occurs).
-  double per_class_recall(std::int64_t c) const;
-  std::int64_t num_classes() const { return num_classes_; }
-
- private:
-  std::int64_t num_classes_;
-  std::vector<std::int64_t> cells_;
-  std::int64_t total_ = 0;
-};
-
 /// Perturbation statistics of an adversarial batch vs. its originals.
 struct PerturbationStats {
   float mean_linf = 0.0f;  // mean over examples of max-abs pixel delta

@@ -1,4 +1,4 @@
-// Pointwise activation layers.
+// The pointwise activation layer.
 #pragma once
 
 #include "nn/module.hpp"
@@ -13,38 +13,6 @@ class ReLU : public Module {
 
  private:
   Tensor cached_input_;
-};
-
-class LeakyReLU : public Module {
- public:
-  explicit LeakyReLU(float negative_slope = 0.01f);
-  void forward_into(const Tensor& input, Tensor& out, bool training) override;
-  void backward_into(const Tensor& grad_output, Tensor& grad_input) override;
-  std::string name() const override;
-
- private:
-  float slope_;
-  Tensor cached_input_;
-};
-
-class Sigmoid : public Module {
- public:
-  void forward_into(const Tensor& input, Tensor& out, bool training) override;
-  void backward_into(const Tensor& grad_output, Tensor& grad_input) override;
-  std::string name() const override { return "Sigmoid"; }
-
- private:
-  Tensor cached_output_;
-};
-
-class Tanh : public Module {
- public:
-  void forward_into(const Tensor& input, Tensor& out, bool training) override;
-  void backward_into(const Tensor& grad_output, Tensor& grad_input) override;
-  std::string name() const override { return "Tanh"; }
-
- private:
-  Tensor cached_output_;
 };
 
 }  // namespace zkg::nn

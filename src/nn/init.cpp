@@ -13,12 +13,4 @@ Tensor he_normal(Shape shape, std::int64_t fan_in, Rng& rng) {
   return randn(std::move(shape), rng, 0.0f, stddev);
 }
 
-Tensor glorot_uniform(Shape shape, std::int64_t fan_in, std::int64_t fan_out,
-                      Rng& rng) {
-  ZKG_REQUIRE(fan_in > 0 && fan_out > 0)
-      << " glorot fans " << fan_in << ", " << fan_out;
-  const float limit = std::sqrt(6.0f / static_cast<float>(fan_in + fan_out));
-  return rand_uniform(std::move(shape), rng, -limit, limit);
-}
-
 }  // namespace zkg::nn

@@ -11,8 +11,4 @@ namespace zkg::nn {
 /// He (Kaiming) normal — recommended for ReLU layers.
 Tensor he_normal(Shape shape, std::int64_t fan_in, Rng& rng);
 
-/// Glorot (Xavier) uniform — recommended for sigmoid/tanh layers.
-Tensor glorot_uniform(Shape shape, std::int64_t fan_in, std::int64_t fan_out,
-                      Rng& rng);
-
 }  // namespace zkg::nn

@@ -33,9 +33,8 @@ class Parameter {
 };
 
 /// RAII scope under which backward passes on the calling thread compute
-/// only the gradient w.r.t. their input: Conv2d, Dense and BatchNorm skip
-/// their parameter-gradient work and leave every Parameter::grad()
-/// untouched. Attacks and the backward through a frozen network run under
+/// only the gradient w.r.t. their input: Conv2d and Dense skip their
+/// parameter-gradient work and leave every Parameter::grad() untouched. Attacks and the backward through a frozen network run under
 /// it. The flag is thread-local, so models trained on other threads keep
 /// accumulating; scopes nest and restore the previous state on exit.
 class InputGradOnly {

@@ -8,7 +8,7 @@
 namespace zkg::optim {
 
 Adam::Adam(std::vector<nn::Parameter*> params, AdamConfig config)
-    : Optimizer(std::move(params)), config_(config) {
+    : params_(std::move(params)), config_(config) {
   ZKG_REQUIRE(config_.learning_rate > 0.0f)
       << " Adam lr " << config_.learning_rate;
   ZKG_REQUIRE(config_.beta1 >= 0.0f && config_.beta1 < 1.0f) << " beta1";

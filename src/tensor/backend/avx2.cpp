@@ -636,32 +636,6 @@ void relu_backward(float* g, const float* in, const float* go,
   }
   for (; i < n; ++i) g[i] = in[i] > 0.0f ? go[i] : 0.0f;
 }
-void leaky_relu(float* out, const float* a, float slope, std::int64_t n) {
-  const __m256 zero = _mm256_setzero_ps();
-  const __m256 vs = _mm256_set1_ps(slope);
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 vx = _mm256_loadu_ps(a + i);
-    const __m256 mask = _mm256_cmp_ps(vx, zero, _CMP_GT_OQ);
-    _mm256_storeu_ps(out + i,
-                     _mm256_blendv_ps(_mm256_mul_ps(vs, vx), vx, mask));
-  }
-  for (; i < n; ++i) out[i] = a[i] > 0.0f ? a[i] : slope * a[i];
-}
-void leaky_relu_backward(float* g, const float* in, const float* go,
-                         float slope, std::int64_t n) {
-  const __m256 zero = _mm256_setzero_ps();
-  const __m256 vs = _mm256_set1_ps(slope);
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 vgo = _mm256_loadu_ps(go + i);
-    const __m256 mask = _mm256_cmp_ps(_mm256_loadu_ps(in + i), zero,
-                                      _CMP_GT_OQ);
-    _mm256_storeu_ps(g + i,
-                     _mm256_blendv_ps(_mm256_mul_ps(vs, vgo), vgo, mask));
-  }
-  for (; i < n; ++i) g[i] = in[i] > 0.0f ? go[i] : slope * go[i];
-}
 
 void softmax_rows(float* out, const float* logits, std::int64_t rows,
                   std::int64_t cols) {
@@ -726,8 +700,6 @@ const KernelBackend* avx2_backend_if_supported() {
       Chunked<clamp>::run,
       Chunked<relu>::run,
       Chunked<relu_backward>::run,
-      Chunked<leaky_relu>::run,
-      Chunked<leaky_relu_backward>::run,
       softmax_rows,
   };
   return &table;

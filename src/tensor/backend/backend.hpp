@@ -115,9 +115,6 @@ struct KernelBackend {
   /// g = (in > 0) ? go : 0.
   void (*relu_backward)(float* g, const float* in, const float* go,
                         std::int64_t n);
-  void (*leaky_relu)(float* out, const float* a, float slope, std::int64_t n);
-  void (*leaky_relu_backward)(float* g, const float* in, const float* go,
-                              float slope, std::int64_t n);
 
   // ---- softmax ----
   /// Row-wise numerically stabilised softmax of logits[rows, cols];

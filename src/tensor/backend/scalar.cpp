@@ -283,17 +283,6 @@ void relu_backward(float* g, const float* in, const float* go,
                    std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) g[i] = in[i] > 0.0f ? go[i] : 0.0f;
 }
-void leaky_relu(float* out, const float* a, float slope, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) {
-    out[i] = a[i] > 0.0f ? a[i] : slope * a[i];
-  }
-}
-void leaky_relu_backward(float* g, const float* in, const float* go,
-                         float slope, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) {
-    g[i] = in[i] > 0.0f ? go[i] : slope * go[i];
-  }
-}
 
 void softmax_rows(float* out, const float* logits, std::int64_t rows,
                   std::int64_t cols) {
@@ -341,8 +330,6 @@ const KernelBackend& scalar_backend() {
       Chunked<scalar::clamp>::run,
       Chunked<scalar::relu>::run,
       Chunked<scalar::relu_backward>::run,
-      Chunked<scalar::leaky_relu>::run,
-      Chunked<scalar::leaky_relu_backward>::run,
       scalar::softmax_rows,
   };
   return table;

@@ -112,9 +112,6 @@ void clamp(float* out, const float* a, float lo, float hi, std::int64_t n);
 void relu(float* out, const float* a, std::int64_t n);
 void relu_backward(float* g, const float* in, const float* go,
                    std::int64_t n);
-void leaky_relu(float* out, const float* a, float slope, std::int64_t n);
-void leaky_relu_backward(float* g, const float* in, const float* go,
-                         float slope, std::int64_t n);
 
 void softmax_rows(float* out, const float* logits, std::int64_t rows,
                   std::int64_t cols);

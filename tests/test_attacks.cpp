@@ -437,5 +437,66 @@ TEST_F(TrainedModelFixture, PgdRestartsNeverHurt) {
   EXPECT_LE(acc_multi, acc_single + 0.05);
 }
 
+// ------------------------------------------------------------------ SPSA
+
+TEST(Spsa, RespectsBudgetWithoutGradients) {
+  Rng rng(11);
+  models::Classifier mlp = models::build_mlp({1, 8, 8, 10}, {16}, rng);
+  Rng data_rng(12);
+  const Tensor x = rand_uniform({3, 1, 8, 8}, data_rng, -1.0f, 1.0f);
+  Rng attack_rng(13);
+  attacks::Spsa spsa({.epsilon = 0.2f, .step_size = 0.05f, .iterations = 3},
+                     attack_rng, 0.01f, 4);
+  const Tensor adv = spsa.generate(mlp, x, {0, 1, 2});
+  Tensor delta;
+  sub_into(delta, adv, x);
+  EXPECT_LE(max_abs(delta), 0.2f + 1e-5f);
+  EXPECT_GE(min_value(adv), -1.0f - 1e-6f);
+  EXPECT_LE(max_value(adv), 1.0f + 1e-6f);
+  // Query-only contract: parameter gradients stay zero.
+  for (nn::Parameter* p : mlp.parameters()) {
+    EXPECT_FLOAT_EQ(max_abs(p->grad()), 0.0f);
+  }
+}
+
+TEST(Spsa, DegradesATrainedModel) {
+  Rng rng(14);
+  data::Dataset raw = data::make_synth_digits(700, rng);
+  const data::Dataset scaled = data::scale_pixels(raw);
+  const data::TrainTestSplit split = data::separate(scaled, 60, rng);
+  Rng model_rng(15);
+  models::Classifier model = models::build_lenet(
+      {1, 28, 28, 10}, models::Preset::kBench, model_rng);
+  defense::TrainConfig config;
+  config.epochs = 8;
+  config.batch_size = 64;
+  defense::VanillaTrainer(model, config).fit(split.train);
+
+  Rng attack_rng(16);
+  attacks::Spsa spsa({.epsilon = 0.3f, .step_size = 0.06f, .iterations = 8},
+                     attack_rng, 0.05f, 16);
+  const Tensor adv =
+      spsa.generate(model, split.test.images, split.test.labels);
+  models::InferenceSession session(model);
+  const double clean =
+      eval::accuracy(session.predict(split.test.images), split.test.labels);
+  const double attacked =
+      eval::accuracy(session.predict(adv), split.test.labels);
+  EXPECT_LT(attacked, clean - 0.25)
+      << "clean " << clean << " vs SPSA " << attacked;
+}
+
+TEST(Spsa, Validation) {
+  Rng rng(17);
+  EXPECT_THROW(
+      attacks::Spsa({.epsilon = 0.1f, .step_size = 0.1f, .iterations = 1},
+                    rng, 0.0f),
+      InvalidArgument);
+  EXPECT_THROW(
+      attacks::Spsa({.epsilon = 0.1f, .step_size = 0.1f, .iterations = 1},
+                    rng, 0.01f, 0),
+      InvalidArgument);
+}
+
 }  // namespace
 }  // namespace zkg::attacks

@@ -24,24 +24,6 @@ TEST(Accuracy, CountsMatches) {
   EXPECT_THROW(accuracy({}, {}), InvalidArgument);
 }
 
-TEST(ConfusionMatrix, AccumulatesAndSummarises) {
-  ConfusionMatrix cm(3);
-  cm.add_all({0, 0, 1, 2}, {0, 1, 1, 2});
-  EXPECT_EQ(cm.total(), 4);
-  EXPECT_EQ(cm.count(0, 1), 1);
-  EXPECT_DOUBLE_EQ(cm.accuracy(), 0.75);
-  EXPECT_DOUBLE_EQ(cm.per_class_recall(0), 0.5);
-  EXPECT_DOUBLE_EQ(cm.per_class_recall(1), 1.0);
-  EXPECT_THROW(cm.add(3, 0), InvalidArgument);
-  EXPECT_THROW(ConfusionMatrix(0), InvalidArgument);
-}
-
-TEST(ConfusionMatrix, EmptyClassRecallIsZero) {
-  ConfusionMatrix cm(2);
-  cm.add(0, 0);
-  EXPECT_DOUBLE_EQ(cm.per_class_recall(1), 0.0);
-}
-
 TEST(PerturbationStats, KnownDeltas) {
   const Tensor original({2, 2}, std::vector<float>{0, 0, 0, 0});
   const Tensor adv({2, 2}, std::vector<float>{0.1f, -0.2f, 0.3f, 0.4f});
@@ -195,10 +177,24 @@ TEST(Table3Result, RowLookupAndTables) {
 TEST(Table3Result, HeadlineSummaryComputesGainAndGap) {
   const Table3Result result = synthetic_table3();
   const std::string headline = result.headline_summary();
-  // Gain over CLS: max over columns of (ZK - CLS) = 0.30 (FGSM & BIM & PGD).
-  EXPECT_NE(headline.find("30.00%"), std::string::npos) << headline;
+  // Signed gap to CLS, the only zero-knowledge row, per column: ZK - CLS.
+  EXPECT_NE(headline.find("FGSM +30.00%, BIM +30.00%, PGD +30.00%"),
+            std::string::npos)
+      << headline;
   // Gap to PGD-Adv: max of (0.90-0.80, 0.85-0.70, 0.86-0.65) = 21%.
   EXPECT_NE(headline.find("21.00%"), std::string::npos) << headline;
+}
+
+TEST(Table3Result, HeadlineSummaryPrintsNegativeGapWhenZkTrails) {
+  Table3Result result = synthetic_table3();
+  // CLP beats ZK-GanDef (0.80/0.70/0.65) on FGSM and PGD, not on BIM; each
+  // column compares against the better of CLP and CLS.
+  result.rows.push_back({defense::DefenseId::kClp, "CLP", 0.95, 0.85, 0.60,
+                         0.70, 1.2, 0.2f, true});
+  const std::string headline = result.headline_summary();
+  EXPECT_NE(headline.find("FGSM -5.00%, BIM +10.00%, PGD -5.00%"),
+            std::string::npos)
+      << headline;
 }
 
 TEST(Table3Result, HeadlineWithoutZkRow) {

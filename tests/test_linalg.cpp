@@ -297,12 +297,6 @@ TEST(ParallelKernels, ElementwiseBitIdenticalToSerial) {
                   std::int64_t n) { k.relu(o, a, n); }},
       {"relu_backward", [](B k, float* o, const float* a, const float* b,
                            std::int64_t n) { k.relu_backward(o, a, b, n); }},
-      {"leaky_relu", [](B k, float* o, const float* a, const float*,
-                        std::int64_t n) { k.leaky_relu(o, a, 0.2f, n); }},
-      {"leaky_relu_backward", [](B k, float* o, const float* a,
-                                 const float* b, std::int64_t n) {
-         k.leaky_relu_backward(o, a, b, 0.2f, n);
-       }},
   };
   enum class Alias { kNone, kOutIsA, kOutIsB };
   const std::int64_t g = kElementwiseGrain;

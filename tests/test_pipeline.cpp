@@ -159,6 +159,35 @@ TEST(PrefetchBatcher, LoadStateRejectsCorruptPermutations) {
   EXPECT_EQ(batches, prefetch.batches_per_epoch());
 }
 
+// Construction gathers nothing: a trainer's first call is start_epoch(),
+// which would throw away a batch primed by the constructor. Counted through
+// an armed failpoint that never fires; destroying the batcher joins any
+// fill in flight, so the count is final.
+TEST(PrefetchBatcher, ConstructionRunsNoFill) {
+  const data::Dataset train = small_train_set(64);  // 4 batches of 16
+  fail::Spec never;
+  never.probability = 0.0;
+  const fail::FailpointScope scope("data.prefetch_fill", never);
+  const std::uint64_t before = fail::hit_count("data.prefetch_fill");
+  {
+    Rng rng(6);
+    const data::PrefetchBatcher prefetch(train, 16, rng);
+  }
+  EXPECT_EQ(fail::hit_count("data.prefetch_fill"), before);
+
+  // A trainer-shaped epoch then fills once per batch plus the end marker.
+  std::uint64_t batches = 0;
+  {
+    Rng rng(6);
+    data::PrefetchBatcher prefetch(train, 16, rng);
+    prefetch.start_epoch();
+    data::Batch batch;
+    while (prefetch.next_into(batch)) ++batches;
+  }
+  EXPECT_EQ(batches, 4u);
+  EXPECT_EQ(fail::hit_count("data.prefetch_fill"), before + batches + 1);
+}
+
 // Fill-thread fault injection (DESIGN.md §16): an injected fault on the
 // producer surfaces as the consumer's exception, the snapshot still points
 // at the consumer's cursor, and the batcher resumes streaming — the exact
