@@ -16,6 +16,7 @@ AdversarialTrainer::AdversarialTrainer(models::Classifier& model,
       attack_(std::move(attack)),
       display_name_(std::move(display_name)) {
   ZKG_CHECK(attack_ != nullptr) << " AdversarialTrainer without attack";
+  add_rngs("attack.rng.", *attack_);
 }
 
 BatchStats AdversarialTrainer::train_batch(const data::Batch& batch) {

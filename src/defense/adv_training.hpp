@@ -23,23 +23,6 @@ class AdversarialTrainer : public Trainer {
  protected:
   BatchStats train_batch(const data::Batch& batch) override;
 
-  void capture_extra_state(ckpt::TrainState& state) override {
-    std::vector<Rng*> rngs;
-    attack_->collect_rngs(rngs);
-    for (std::size_t i = 0; i < rngs.size(); ++i) {
-      state.rng_streams.emplace_back("attack.rng." + std::to_string(i),
-                                     rngs[i]->state());
-    }
-  }
-  void restore_extra_state(const ckpt::TrainState& state) override {
-    std::vector<Rng*> rngs;
-    attack_->collect_rngs(rngs);
-    for (std::size_t i = 0; i < rngs.size(); ++i) {
-      rngs[i]->set_state(
-          state.rng_stream("attack.rng." + std::to_string(i)));
-    }
-  }
-
  private:
   attacks::AttackPtr attack_;
   std::string display_name_;

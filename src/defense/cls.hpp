@@ -11,19 +11,14 @@ namespace zkg::defense {
 class ClsTrainer : public Trainer {
  public:
   ClsTrainer(models::Classifier& model, TrainConfig config)
-      : Trainer(model, config), noise_rng_(rng_.fork()) {}
+      : Trainer(model, config), noise_rng_(rng_.fork()) {
+    add_rng("noise", noise_rng_);
+  }
 
   std::string name() const override { return "CLS"; }
 
  protected:
   BatchStats train_batch(const data::Batch& batch) override;
-
-  void capture_extra_state(ckpt::TrainState& state) override {
-    state.rng_streams.emplace_back("noise", noise_rng_.state());
-  }
-  void restore_extra_state(const ckpt::TrainState& state) override {
-    noise_rng_.set_state(state.rng_stream("noise"));
-  }
 
  private:
   Rng noise_rng_;

@@ -15,7 +15,9 @@ PgdGanDefTrainer::PgdGanDefTrainer(models::Classifier& model,
       attack_([&] {
         Rng seed = attack_seed_rng(config);
         return attacks::Pgd(config.attack, seed);
-      }()) {}
+      }()) {
+  add_rngs("attack.rng.", attack_);
+}
 
 void PgdGanDefTrainer::make_perturbed_into(
     const Tensor& images, const std::vector<std::int64_t>& labels,

@@ -20,25 +20,6 @@ class PgdGanDefTrainer : public GanDefTrainerBase {
                            const std::vector<std::int64_t>& labels,
                            Tensor& out) override;
 
-  void capture_extra_state(ckpt::TrainState& state) override {
-    GanDefTrainerBase::capture_extra_state(state);
-    std::vector<Rng*> rngs;
-    attack_.collect_rngs(rngs);
-    for (std::size_t i = 0; i < rngs.size(); ++i) {
-      state.rng_streams.emplace_back("attack.rng." + std::to_string(i),
-                                     rngs[i]->state());
-    }
-  }
-  void restore_extra_state(const ckpt::TrainState& state) override {
-    GanDefTrainerBase::restore_extra_state(state);
-    std::vector<Rng*> rngs;
-    attack_.collect_rngs(rngs);
-    for (std::size_t i = 0; i < rngs.size(); ++i) {
-      rngs[i]->set_state(
-          state.rng_stream("attack.rng." + std::to_string(i)));
-    }
-  }
-
  private:
   attacks::Pgd attack_;
 };

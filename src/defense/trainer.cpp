@@ -31,12 +31,6 @@ std::string describe(const char* constraint, T value) {
   throw SerializationError("TrainState: " + what);
 }
 
-std::string indexed(const char* prefix, std::size_t i) {
-  std::ostringstream out;
-  out << prefix << i;
-  return out.str();
-}
-
 }  // namespace
 
 void TrainConfig::validate() const {
@@ -114,6 +108,9 @@ Trainer::Trainer(models::Classifier& model, TrainConfig config)
   optimizer_ = std::make_unique<optim::Adam>(
       model_.parameters(), optim::AdamConfig{.learning_rate =
                                                  config_.learning_rate});
+  add_optimizer(*optimizer_);
+  add_rng("trainer", rng_);
+  add_rngs("model.rng.", model_);
   if (ZKG_CHECKED_ENABLED) {
     // Checked builds tripwire every training run: losses and parameters
     // are verified finite after each batch. clear_observers() opts out.
@@ -137,13 +134,21 @@ void Trainer::clear_observers() {
   ckpt_shim_.reset();
 }
 
-void Trainer::scale_learning_rate(float factor) {
-  optimizer_->set_learning_rate(optimizer_->learning_rate() * factor);
+void Trainer::add_rng(std::string name, Rng& rng) {
+  rngs_.emplace_back(std::move(name), &rng);
+}
+
+void Trainer::add_optimizer(optim::Adam& optimizer) {
+  optimizers_.push_back(&optimizer);
+}
+
+void Trainer::add_network(std::string name, nn::Sequential& net) {
+  networks_.emplace_back(std::move(name), &net);
 }
 
 ckpt::TrainState Trainer::capture_state() const {
-  // Const body, mutable work: collect_rngs and Sequential::state() are
-  // non-const but observationally pure (same precedent as model()).
+  // Const body, mutable work: Sequential::state() is non-const but
+  // observationally pure (same precedent as model()).
   return const_cast<Trainer*>(this)->capture_state_impl(
       /*include_batcher=*/true);
 }
@@ -160,19 +165,19 @@ ckpt::TrainState Trainer::capture_state_impl(bool include_batcher) {
   state.counters.emplace_back("rollbacks", rollbacks_);
   state.counters.emplace_back("skipped_batches", skipped_batches_);
   state.model_params = model_.net().state();
-  state.optimizers.push_back(optimizer_->state());
-  state.rng_streams.emplace_back("trainer", rng_.state());
-  std::vector<Rng*> model_rngs;
-  model_.collect_rngs(model_rngs);
-  for (std::size_t i = 0; i < model_rngs.size(); ++i) {
-    state.rng_streams.emplace_back(indexed("model.rng.", i),
-                                   model_rngs[i]->state());
+  for (optim::Adam* optimizer : optimizers_) {
+    state.optimizers.push_back(optimizer->state());
+  }
+  for (const auto& [stream, rng] : rngs_) {
+    state.rng_streams.emplace_back(stream, rng->state());
   }
   if (include_batcher && active_batcher_ != nullptr) {
     state.has_batcher = true;
     state.batcher = active_batcher_->state();
   }
-  capture_extra_state(state);
+  for (const auto& [group, net] : networks_) {
+    state.extra_tensors.emplace_back(group, net->state());
+  }
   return state;
 }
 
@@ -196,14 +201,21 @@ void Trainer::apply_state(const ckpt::TrainState& state, bool include_counters,
         << config_.seed << " — resumed run would not be bit-identical";
     state_fail(out.str());
   }
-  if (state.optimizers.empty()) state_fail("missing classifier optimizer");
+  if (state.optimizers.size() < optimizers_.size()) {
+    std::ostringstream out;
+    out << "snapshot holds " << state.optimizers.size()
+        << " optimizer(s), this trainer needs " << optimizers_.size();
+    state_fail(out.str());
+  }
   model_.net().load_state(state.model_params);
-  optimizer_->load_state(state.optimizers.front());
-  rng_.set_state(state.rng_stream("trainer"));
-  std::vector<Rng*> model_rngs;
-  model_.collect_rngs(model_rngs);
-  for (std::size_t i = 0; i < model_rngs.size(); ++i) {
-    model_rngs[i]->set_state(state.rng_stream(indexed("model.rng.", i)));
+  for (std::size_t i = 0; i < optimizers_.size(); ++i) {
+    optimizers_[i]->load_state(state.optimizers[i]);
+  }
+  for (const auto& [stream, rng] : rngs_) {
+    rng->set_state(state.rng_stream(stream));
+  }
+  for (const auto& [group, net] : networks_) {
+    net->load_state(state.tensor_group(group));
   }
   cur_epoch_ = state.epoch;
   cur_batch_ = state.batch;
@@ -221,7 +233,6 @@ void Trainer::apply_state(const ckpt::TrainState& state, bool include_counters,
     }
     active_batcher_->load_state(state.batcher);
   }
-  restore_extra_state(state);
 }
 
 void Trainer::run_batch(const data::Batch& batch) {
@@ -255,7 +266,12 @@ void Trainer::run_batch(const data::Batch& batch) {
       // Counters stay: the restore must not refill its own retry budget.
       apply_state(*last_good_, /*include_counters=*/false,
                   /*include_batcher=*/false);
-      if (rb.lr_decay < 1.0f) scale_learning_rate(rb.lr_decay);
+      if (rb.lr_decay < 1.0f) {
+        for (optim::Adam* optimizer : optimizers_) {
+          optimizer->set_learning_rate(optimizer->learning_rate() *
+                                       rb.lr_decay);
+        }
+      }
       // Re-capture so repeated rollbacks compound the LR decay instead of
       // restoring the original rate each time.
       last_good_ = std::make_unique<ckpt::TrainState>(

@@ -1,19 +1,26 @@
 // Trainer: the defense interface. Each defense from the paper's evaluation
 // (Vanilla, CLP, CLS, ZK-GanDef, FGSM-Adv, PGD-Adv, PGD-GanDef) is a Trainer
-// subclass that decides how a mini-batch turns into gradients; the base
-// class owns the epoch loop, the Adam optimizer, the timing bookkeeping
-// that feeds the Figure 5 experiments, and the TrainObserver fan-out that
-// replaced ad-hoc verbose printing.
+// subclass that implements name() and train_batch() (a GanDef variant:
+// make_perturbed_into()), deciding how a mini-batch turns into gradients;
+// the base class owns the epoch loop, the Adam optimizer, the timing
+// bookkeeping that feeds the Figure 5 experiments, and the TrainObserver
+// fan-out that replaced ad-hoc verbose printing.
 //
 // Fault tolerance (DESIGN.md §11) also lives here: fit() can resume from a
 // ZKGC checkpoint bit-identically, polls the ckpt stop flag at batch
 // boundaries for graceful SIGINT/SIGTERM shutdown, and — when
 // TrainConfig::rollback enables it — recovers from a NonFiniteError by
 // restoring the last-good in-memory snapshot instead of aborting the run.
+// A subclass declares the state its defense adds (noise or attack RNG
+// streams, the GanDef discriminator and its Adam) by registering it in its
+// constructor with add_rng/add_rngs/add_optimizer/add_network; the base
+// registers the "trainer" stream, the model's dropout streams and the
+// classifier's Adam.
 #pragma once
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "attacks/attack.hpp"
@@ -23,6 +30,7 @@
 #include "data/batcher.hpp"
 #include "data/dataset.hpp"
 #include "models/classifier.hpp"
+#include "nn/sequential.hpp"
 #include "optim/adam.hpp"
 
 namespace zkg::defense {
@@ -216,16 +224,25 @@ class Trainer {
   /// Consumes one mini-batch: computes losses, updates weights.
   virtual BatchStats train_batch(const data::Batch& batch) = 0;
 
-  /// Subclass state hooks: append/restore defense-specific mutable state
-  /// (discriminator, noise/attack RNG streams). Overrides must chain the
-  /// base-class implementation.
-  virtual void capture_extra_state([[maybe_unused]] ckpt::TrainState& state) {}
-  virtual void restore_extra_state(
-      [[maybe_unused]] const ckpt::TrainState& state) {}
-
-  /// Multiplies every optimizer's learning rate by `factor` (rollback LR
-  /// decay). GanDef trainers override to include the discriminator's.
-  virtual void scale_learning_rate(float factor);
+  /// Checkpointed state (DESIGN.md §11). Each constructor in a trainer's
+  /// hierarchy registers the RNG streams, optimizers and networks its
+  /// defense adds; capture_state(), restore_state() and the rollback
+  /// learning-rate decay walk these lists, in registration order.
+  void add_rng(std::string name, Rng& rng);
+  /// Registers the streams owner.collect_rngs() reports (the model, the
+  /// discriminator, an attack) as "<prefix>0", "<prefix>1", ...
+  template <typename Owner>
+  void add_rngs(const std::string& prefix, Owner& owner) {
+    std::vector<Rng*> rngs;
+    owner.collect_rngs(rngs);
+    for (std::size_t i = 0; i < rngs.size(); ++i) {
+      add_rng(prefix + std::to_string(i), *rngs[i]);
+    }
+  }
+  /// The snapshot's optimizers[i] is the i-th registered optimizer.
+  void add_optimizer(optim::Adam& optimizer);
+  /// The network's parameters travel as the named XTRA tensor group.
+  void add_network(std::string name, nn::Sequential& net);
 
   models::Classifier& model_;
   TrainConfig config_;
@@ -245,6 +262,10 @@ class Trainer {
   /// One batch with the rollback policy wrapped around train_batch AND the
   /// observer fan-out (checked builds surface NaNs from on_batch_end).
   void run_batch(const data::Batch& batch);
+
+  std::vector<std::pair<std::string, Rng*>> rngs_;
+  std::vector<optim::Adam*> optimizers_;
+  std::vector<std::pair<std::string, nn::Sequential*>> networks_;
 
   std::vector<TrainObserver*> observers_;
   // ZKG_CHECKED builds install a CheckedMathObserver here so every run is

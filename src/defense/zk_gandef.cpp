@@ -1,7 +1,6 @@
 #include "defense/zk_gandef.hpp"
 
 #include <cmath>
-#include <string>
 
 #include "data/preprocess.hpp"
 #include "nn/loss.hpp"
@@ -21,40 +20,11 @@ GanDefTrainerBase::GanDefTrainerBase(models::Classifier& model,
   disc_optimizer_ = std::make_unique<optim::Adam>(
       discriminator_.parameters(),
       optim::AdamConfig{.learning_rate = config_.disc_learning_rate});
-}
-
-void GanDefTrainerBase::capture_extra_state(ckpt::TrainState& state) {
-  state.optimizers.push_back(disc_optimizer_->state());
-  state.extra_tensors.emplace_back("discriminator",
-                                   discriminator_.net().state());
-  std::vector<Rng*> disc_rngs;
-  discriminator_.collect_rngs(disc_rngs);
-  for (std::size_t i = 0; i < disc_rngs.size(); ++i) {
-    state.rng_streams.emplace_back(
-        "discriminator.rng." + std::to_string(i), disc_rngs[i]->state());
-  }
-}
-
-void GanDefTrainerBase::restore_extra_state(const ckpt::TrainState& state) {
-  if (state.optimizers.size() < 2) {
-    throw SerializationError(
-        "TrainState: GanDef snapshot is missing the discriminator "
-        "optimizer (optimizers[1])");
-  }
-  disc_optimizer_->load_state(state.optimizers.at(1));
-  discriminator_.net().load_state(state.tensor_group("discriminator"));
-  std::vector<Rng*> disc_rngs;
-  discriminator_.collect_rngs(disc_rngs);
-  for (std::size_t i = 0; i < disc_rngs.size(); ++i) {
-    disc_rngs[i]->set_state(
-        state.rng_stream("discriminator.rng." + std::to_string(i)));
-  }
-}
-
-void GanDefTrainerBase::scale_learning_rate(float factor) {
-  Trainer::scale_learning_rate(factor);
-  disc_optimizer_->set_learning_rate(disc_optimizer_->learning_rate() *
-                                     factor);
+  // Checkpointed as optimizers[1] and the "discriminator" tensor group;
+  // the rollback LR decay applies to both players of the minimax game.
+  add_optimizer(*disc_optimizer_);
+  add_network("discriminator", discriminator_.net());
+  add_rngs("discriminator.rng.", discriminator_);
 }
 
 float GanDefTrainerBase::update_discriminator(const Tensor& class_logits,

@@ -40,13 +40,6 @@ class GanDefTrainerBase : public Trainer {
                                    const std::vector<std::int64_t>& labels,
                                    Tensor& out) = 0;
 
-  /// Checkpoint hooks: the discriminator's parameters travel as the
-  /// "discriminator" XTRA tensor group, its Adam state as optimizers[1].
-  void capture_extra_state(ckpt::TrainState& state) override;
-  void restore_extra_state(const ckpt::TrainState& state) override;
-  /// Rollback LR decay applies to both players of the minimax game.
-  void scale_learning_rate(float factor) override;
-
   /// One classifier update with frozen discriminator: D's parameters and
   /// their gradients are left untouched. Returns CE.
   float update_classifier(const Tensor& images,
@@ -79,7 +72,9 @@ class GanDefTrainerBase : public Trainer {
 class ZkGanDefTrainer : public GanDefTrainerBase {
  public:
   ZkGanDefTrainer(models::Classifier& model, TrainConfig config)
-      : GanDefTrainerBase(model, config), noise_rng_(rng_.fork()) {}
+      : GanDefTrainerBase(model, config), noise_rng_(rng_.fork()) {
+    add_rng("noise", noise_rng_);
+  }
 
   std::string name() const override { return "ZK-GanDef"; }
 
@@ -87,15 +82,6 @@ class ZkGanDefTrainer : public GanDefTrainerBase {
   void make_perturbed_into(const Tensor& images,
                            const std::vector<std::int64_t>& labels,
                            Tensor& out) override;
-
-  void capture_extra_state(ckpt::TrainState& state) override {
-    GanDefTrainerBase::capture_extra_state(state);
-    state.rng_streams.emplace_back("noise", noise_rng_.state());
-  }
-  void restore_extra_state(const ckpt::TrainState& state) override {
-    GanDefTrainerBase::restore_extra_state(state);
-    noise_rng_.set_state(state.rng_stream("noise"));
-  }
 
  private:
   Rng noise_rng_;

@@ -1,7 +1,6 @@
 #include "eval/scheduler.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <functional>
 #include <map>
 #include <numeric>
@@ -20,8 +19,6 @@
 #include "common/logging.hpp"
 #include "common/stopwatch.hpp"
 #include "common/threadpool.hpp"
-#include "defense/observer.hpp"
-#include "obs/export.hpp"
 
 namespace zkg::eval {
 
@@ -131,25 +128,6 @@ void run_cell(const SweepCell& cell, const PreparedData& data,
   }
   defense::TrainerPtr trainer =
       defense::make_trainer(cell.defense, model, config);
-
-  // Per-job telemetry scope: a private registry bridged by the observer,
-  // plus per-job JSONL streams when a telemetry dir is configured. Nothing
-  // here touches the process-global registry or a shared stream.
-  obs::Telemetry telemetry;
-  defense::TelemetryObserver telemetry_observer(telemetry);
-  trainer->add_observer(&telemetry_observer);
-  // Append-only telemetry stream, not recoverable state; crash-safety via
-  // atomic_write_file would buffer the whole run in memory for no benefit.
-  std::ofstream train_jsonl;  // zkg-lint: allow(atomic-write) reason: append-only telemetry stream, not recoverable state
-  std::unique_ptr<defense::JsonlTrainObserver> recorder;
-  if (!options.telemetry_dir.empty()) {
-    train_jsonl.open(options.telemetry_dir + "/" + out.name + ".train.jsonl",
-                     std::ios::trunc);
-    if (train_jsonl.is_open()) {
-      recorder = std::make_unique<defense::JsonlTrainObserver>(train_jsonl);
-      trainer->add_observer(recorder.get());
-    }
-  }
   if (options.observer != nullptr) trainer->add_observer(options.observer);
 
   log::info() << "[sweep] " << out.name << " starting ("
@@ -160,13 +138,6 @@ void run_cell(const SweepCell& cell, const PreparedData& data,
                               cell.seed);
   }
   if (options.keep_params) out.final_params = model.net().state();
-
-  if (!options.telemetry_dir.empty()) {
-    std::ofstream obs_jsonl(  // zkg-lint: allow(atomic-write) reason: telemetry snapshot, not recoverable state
-        options.telemetry_dir + "/" + out.name + ".obs.jsonl",
-        std::ios::trunc);
-    if (obs_jsonl.is_open()) obs::write_jsonl(obs_jsonl, telemetry);
-  }
 }
 
 }  // namespace
@@ -190,8 +161,7 @@ std::vector<SweepRun> run_sweep(const std::vector<SweepCell>& cells,
     runs.push_back({.cell = cell, .name = sweep_cell_name(cell)});
     if (!names.insert(runs.back().name).second) {
       throw ConfigError("run_sweep: two cells are named " + runs.back().name +
-                        " and would share a checkpoint directory and "
-                        "telemetry files");
+                        " and would share a checkpoint directory");
     }
   }
 

@@ -10,9 +10,9 @@
 //    is derived from the cell's own seed inside the job body; nothing is
 //    drawn from a shared stream, so results are independent of scheduling
 //    order and interleaving.
-//  * Telemetry: each job gets its own obs::Telemetry registry bridged via
-//    defense::TelemetryObserver, optionally exported to a per-job JSONL
-//    file. The process-global registry is never required by a job.
+//  * Telemetry: a job's ZKG_SPAN/ZKG_COUNT sites report to the
+//    process-global registry (off unless ZKG_TRACE enables it, thread-safe
+//    when on); no job reads it back, so it cannot couple results.
 //  * Checkpointing: each job writes crash-safe snapshots into its own
 //    directory (<checkpoint_root>/<cell-name>) and, when `resume` is set,
 //    picks its newest loadable snapshot back up — an interrupted sweep
@@ -65,9 +65,8 @@ struct SweepOptions {
   bool keep_params = false;     // snapshot final weights into the result
   std::string checkpoint_root;  // per-job dirs under here; "" disables
   bool resume = true;           // pick up an existing per-job checkpoint
-  std::string telemetry_dir;    // per-job JSONL records; "" disables
-  /// Non-owning; attached to every cell's trainer after the per-job
-  /// telemetry observers. Its callbacks run on each job's thread, so with
+  /// Non-owning; attached to every cell's trainer. Its callbacks run on
+  /// each job's thread, so with
   /// jobs != 1 it must tolerate concurrent calls (bench_fig5_training_time
   /// attaches its JSONL recorder only at jobs == 1).
   defense::TrainObserver* observer = nullptr;
@@ -86,8 +85,7 @@ struct SweepRun {
 
 /// "<defense>_<dataset>_s<seed>", plus "_sigma<v>", "_lambda<v>" and
 /// "_gamma<v>" for each of those knobs that differs from scale_for's value
-/// — filesystem-safe; names the per-job checkpoint directory and telemetry
-/// files.
+/// — filesystem-safe; names the per-job checkpoint directory.
 std::string sweep_cell_name(const SweepCell& cell);
 
 /// Trains every cell as an independent job (see the isolation contract

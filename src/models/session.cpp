@@ -14,12 +14,6 @@ const std::vector<std::int64_t>& InferenceSession::predict(
   return labels_;
 }
 
-void InferenceSession::predict_into(const Tensor& images,
-                                    std::vector<std::int64_t>& out) {
-  predict(images);
-  out.assign(labels_.begin(), labels_.end());
-}
-
 const Tensor& InferenceSession::alarm_scores() {
   ZKG_CHECK(alarm_ != nullptr)
       << " InferenceSession::alarm_scores() without a discriminator head";

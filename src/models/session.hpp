@@ -38,9 +38,6 @@ class InferenceSession {
   /// reference points at owned scratch: valid until the next predict call.
   const std::vector<std::int64_t>& predict(const Tensor& images);
 
-  /// As predict, copying labels into `out` (reuses its capacity).
-  void predict_into(const Tensor& images, std::vector<std::int64_t>& out);
-
   /// Pre-softmax logits [B, num_classes] of the last predict call.
   const Tensor& logits() const { return logits_; }
 

@@ -2,12 +2,13 @@
 // atomic writes, checkpoint naming/rotation, RNG and Batcher snapshots, the
 // ZKGC encode/decode round-trip with a corruption matrix, a pinned encoding,
 // crafted counts and a seeded mutation fuzz, the ZKGT tensor framing inside
-// it, bit-identical interrupt+resume for Vanilla and ZK-GanDef, and the NaN
-// rollback policy.
+// it, each defense's checkpoint layout, bit-identical interrupt+resume for
+// all seven defenses on LeNet and allCNN, and the NaN rollback policy.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -19,6 +20,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -31,8 +33,10 @@
 #include "data/preprocess.hpp"
 #include "defense/checkpointing.hpp"
 #include "defense/cls.hpp"
+#include "defense/registry.hpp"
 #include "defense/vanilla.hpp"
 #include "defense/zk_gandef.hpp"
+#include "models/allcnn.hpp"
 #include "models/lenet.hpp"
 #include "nn/dropout.hpp"
 #include "nn/sequential.hpp"
@@ -701,8 +705,16 @@ data::Dataset small_train_set(std::int64_t n = 256) {
   return data::scale_pixels(data::make_synth_digits(n, rng));
 }
 
-models::Classifier fresh_model(std::uint64_t seed = 7) {
-  Rng rng(seed);
+/// The two bench classifiers: LeNet on synth digits, and allCNN on synth
+/// objects with its 0.2 input dropout, whose mask stream is "model.rng.0".
+enum class Arch { kLeNet, kAllCnn };
+
+models::Classifier fresh_model(Arch arch = Arch::kLeNet) {
+  Rng rng(7);
+  if (arch == Arch::kAllCnn) {
+    return models::build_allcnn({3, 32, 32, 10}, models::Preset::kBench, rng,
+                                /*input_dropout=*/0.2f);
+  }
   return models::build_lenet({1, 28, 28, 10}, models::Preset::kBench, rng);
 }
 
@@ -738,26 +750,25 @@ void expect_params_identical(std::vector<Tensor> a, std::vector<Tensor> b) {
   }
 }
 
-template <typename TrainerT>
-void run_interrupt_resume_case(const char* tag, TrainConfig config,
+void run_interrupt_resume_case(const std::string& tag, DefenseId id,
+                               Arch arch, const data::Dataset& train,
+                               const TrainConfig& config,
                                std::int64_t stop_after_batches) {
-  const data::Dataset train = small_train_set();
-
   // Reference: one uninterrupted run.
-  models::Classifier ref_model = fresh_model();
-  TrainerT reference(ref_model, config);
-  const TrainResult ref_result = reference.fit(train);
+  models::Classifier ref_model = fresh_model(arch);
+  const TrainerPtr reference = make_trainer(id, ref_model, config);
+  const TrainResult ref_result = reference->fit(train);
 
   // Interrupted run: same seeds, auto-checkpointing on, stop mid-epoch.
   TempDir dir(tag);
   TrainConfig interrupted_config = config;
   interrupted_config.checkpoint.dir = dir.path();
-  models::Classifier mid_model = fresh_model();
+  models::Classifier mid_model = fresh_model(arch);
   {
-    TrainerT trainer(mid_model, interrupted_config);
+    const TrainerPtr trainer = make_trainer(id, mid_model, interrupted_config);
     StopAfter stopper(stop_after_batches);
-    trainer.add_observer(&stopper);
-    const TrainResult partial = trainer.fit(train);
+    trainer->add_observer(&stopper);
+    const TrainResult partial = trainer->fit(train);
     EXPECT_TRUE(partial.interrupted);
     EXPECT_LT(partial.epochs.size(), ref_result.epochs.size());
   }
@@ -767,9 +778,9 @@ void run_interrupt_resume_case(const char* tag, TrainConfig config,
   // Resumed run: fresh model + trainer, restored from the directory.
   TrainConfig resume_config = interrupted_config;
   resume_config.resume_from = dir.path();
-  models::Classifier resumed_model = fresh_model();
-  TrainerT resumed(resumed_model, resume_config);
-  const TrainResult result = resumed.fit(train);
+  models::Classifier resumed_model = fresh_model(arch);
+  const TrainerPtr resumed = make_trainer(id, resumed_model, resume_config);
+  const TrainResult result = resumed->fit(train);
 
   EXPECT_FALSE(result.interrupted);
   ASSERT_EQ(result.epochs.size(), ref_result.epochs.size());
@@ -787,22 +798,115 @@ void run_interrupt_resume_case(const char* tag, TrainConfig config,
 
 TEST(InterruptResume, VanillaIsBitIdentical) {
   // 256 examples / 32 = 8 batches per epoch; stop inside epoch 1.
-  run_interrupt_resume_case<VanillaTrainer>("vanilla", quick_config(3), 11);
+  run_interrupt_resume_case("vanilla", DefenseId::kVanilla, Arch::kLeNet,
+                            small_train_set(), quick_config(3), 11);
 }
 
 TEST(InterruptResume, VanillaAtEpochBoundaryIsBitIdentical) {
-  run_interrupt_resume_case<VanillaTrainer>("vanilla_edge", quick_config(3),
-                                            8);
+  run_interrupt_resume_case("vanilla_edge", DefenseId::kVanilla, Arch::kLeNet,
+                            small_train_set(), quick_config(3), 8);
 }
 
-TEST(InterruptResume, ZkGanDefIsBitIdentical) {
+using DefenseOnArch = std::tuple<DefenseId, Arch>;
+
+/// "ZKGanDef_AllCnn": the defense's display name without its hyphens.
+std::string case_label(DefenseId id, Arch arch) {
+  std::string name;
+  for (const char c : defense_name(id)) {
+    if (std::isalnum(static_cast<unsigned char>(c)) != 0) name += c;
+  }
+  return name + (arch == Arch::kAllCnn ? "_AllCnn" : "_LeNet");
+}
+
+std::string case_name(const ::testing::TestParamInfo<DefenseOnArch>& info) {
+  return case_label(std::get<0>(info.param), std::get<1>(info.param));
+}
+
+const auto kEveryDefenseOnBothArchs = ::testing::Combine(
+    ::testing::ValuesIn(all_defenses()),
+    ::testing::Values(Arch::kLeNet, Arch::kAllCnn));
+
+// Every stream a defense checkpoints goes through a real resume: the
+// classifier's Adam, the discriminator and its Adam (GanDef), the noise
+// stream (CLP, CLS, ZK-GanDef), the PGD random starts (PGD-Adv,
+// PGD-GanDef) and allCNN's input-dropout masks.
+class InterruptResumeAll : public ::testing::TestWithParam<DefenseOnArch> {};
+
+TEST_P(InterruptResumeAll, MidEpochResumeIsBitIdentical) {
+  const auto [id, arch] = GetParam();
   TrainConfig config = quick_config(2);
-  run_interrupt_resume_case<ZkGanDefTrainer>("zkgandef", config, 5);
+  config.batch_size = 16;
+  config.attack.iterations = 3;
+  config.attack.restarts = 2;
+  Rng data_rng(42);
+  const data::Dataset train =
+      arch == Arch::kAllCnn
+          ? data::scale_pixels(data::make_synth_objects(48, data_rng))
+          : small_train_set(64);
+  // Stop one batch into the second epoch, so the batcher, the partial-epoch
+  // accumulators and every RNG stream resume mid-permutation.
+  const std::int64_t batches_per_epoch = train.size() / config.batch_size;
+  run_interrupt_resume_case(case_label(id, arch), id, arch, train, config,
+                            batches_per_epoch + 1);
 }
 
-TEST(InterruptResume, ClsNoiseStreamSurvivesResume) {
-  run_interrupt_resume_case<ClsTrainer>("cls", quick_config(2), 5);
+INSTANTIATE_TEST_SUITE_P(Defenses, InterruptResumeAll,
+                         kEveryDefenseOnBothArchs, case_name);
+
+// What each defense checkpoints, on a fresh trainer: the RNG stream names
+// in order, the optimizer count and the XTRA tensor groups. The names and
+// their order are part of the ZKGC files already written, so a change here
+// breaks resuming them.
+class CheckpointLayout : public ::testing::TestWithParam<DefenseOnArch> {};
+
+TEST_P(CheckpointLayout, FreshTrainerCapturesItsDefenseState) {
+  const auto [id, arch] = GetParam();
+  models::Classifier model = fresh_model(arch);
+  const TrainerPtr trainer = make_trainer(id, model, quick_config(1));
+  const ckpt::TrainState state = trainer->capture_state();
+
+  std::vector<std::string> streams = {"trainer"};
+  if (arch == Arch::kAllCnn) streams.push_back("model.rng.0");
+  std::size_t optimizers = 1;
+  std::vector<std::string> groups;
+  switch (id) {
+    case DefenseId::kVanilla:
+    case DefenseId::kFgsmAdv:
+      break;
+    case DefenseId::kClp:
+    case DefenseId::kCls:
+      streams.push_back("noise");
+      break;
+    case DefenseId::kZkGanDef:
+      streams.push_back("noise");
+      optimizers = 2;
+      groups = {"discriminator"};
+      break;
+    case DefenseId::kPgdAdv:
+      streams.push_back("attack.rng.0");
+      break;
+    case DefenseId::kPgdGanDef:
+      streams.push_back("attack.rng.0");
+      optimizers = 2;
+      groups = {"discriminator"};
+      break;
+  }
+
+  std::vector<std::string> captured_streams;
+  for (const auto& stream : state.rng_streams) {
+    captured_streams.push_back(stream.first);
+  }
+  EXPECT_EQ(captured_streams, streams);
+  EXPECT_EQ(state.optimizers.size(), optimizers);
+  std::vector<std::string> captured_groups;
+  for (const auto& group : state.extra_tensors) {
+    captured_groups.push_back(group.first);
+  }
+  EXPECT_EQ(captured_groups, groups);
 }
+
+INSTANTIATE_TEST_SUITE_P(Defenses, CheckpointLayout, kEveryDefenseOnBothArchs,
+                         case_name);
 
 TEST(StateValidation, MismatchedDefenseOrSeedIsRejected) {
   const data::Dataset train = small_train_set(64);
@@ -842,19 +946,20 @@ TEST(CheckpointObserverCadence, BatchCadenceRotatesToKeepLast) {
 
 // --- NaN rollback ---
 
-/// Vanilla trainer that poisons a parameter and raises NonFiniteError on
-/// one specific train_batch call, simulating a divergent optimizer step.
-class FlakyTrainer : public VanillaTrainer {
+/// A trainer that poisons a parameter and raises NonFiniteError on one
+/// specific train_batch call, simulating a divergent optimizer step.
+template <typename TrainerT>
+class Flaky : public TrainerT {
  public:
-  FlakyTrainer(models::Classifier& model, TrainConfig config,
-               std::int64_t fail_on_call)
-      : VanillaTrainer(model, config), fail_on_call_(fail_on_call) {}
+  Flaky(models::Classifier& model, TrainConfig config,
+        std::int64_t fail_on_call)
+      : TrainerT(model, config), fail_on_call_(fail_on_call) {}
 
  protected:
   BatchStats train_batch(const data::Batch& batch) override {
-    const BatchStats stats = VanillaTrainer::train_batch(batch);
+    const BatchStats stats = TrainerT::train_batch(batch);
     if (++calls_ == fail_on_call_) {
-      model().parameters().front()->value()[0] =
+      this->model().parameters().front()->value()[0] =
           std::numeric_limits<float>::quiet_NaN();
       throw NonFiniteError("injected non-finite parameter", "test",
                            "optimizer-step");
@@ -866,6 +971,8 @@ class FlakyTrainer : public VanillaTrainer {
   std::int64_t fail_on_call_ = 0;
   std::int64_t calls_ = 0;
 };
+
+using FlakyTrainer = Flaky<VanillaTrainer>;
 
 bool all_params_finite(models::Classifier& model) {
   for (const Tensor& t : model.net().state()) {
@@ -924,6 +1031,28 @@ TEST(NanRollback, RetryWithLrDecayShrinksTheStep) {
   ASSERT_FALSE(state.optimizers.empty());
   EXPECT_FLOAT_EQ(state.optimizers[0].learning_rate,
                   config.learning_rate * 0.5f);
+  EXPECT_TRUE(all_params_finite(model));
+}
+
+TEST(NanRollback, LrDecayAppliesToBothGanDefPlayers) {
+  TrainConfig config = quick_config(1);
+  config.disc_learning_rate = 2e-3f;  // tell the two optimizers apart
+  config.rollback.max_retries = 2;
+  config.rollback.skip_batch = false;
+  config.rollback.lr_decay = 0.5f;
+  models::Classifier model = fresh_model();
+  Flaky<ZkGanDefTrainer> trainer(model, config, 2);
+  const TrainResult result = trainer.fit(small_train_set(128));
+
+  EXPECT_EQ(trainer.rollback_count(), 1);
+  ASSERT_EQ(result.epochs.size(), 1u);
+  EXPECT_EQ(result.epochs[0].batches, 4);
+  const ckpt::TrainState state = trainer.capture_state();
+  ASSERT_EQ(state.optimizers.size(), 2u);
+  EXPECT_FLOAT_EQ(state.optimizers[0].learning_rate,
+                  config.learning_rate * 0.5f);
+  EXPECT_FLOAT_EQ(state.optimizers[1].learning_rate,
+                  config.disc_learning_rate * 0.5f);
   EXPECT_TRUE(all_params_finite(model));
 }
 

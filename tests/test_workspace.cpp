@@ -407,9 +407,8 @@ TEST(SteadyState, DeepFoolHasZeroPoolMissesAfterWarmup) {
 
 // The inference path behind the Evaluator and the serving engine: once the
 // batch shape has been seen, repeated predictions through an
-// InferenceSession (forward_into + argmax_rows_into + pooled alarm head),
-// by reference or copied into a caller's vector, must never touch the
-// allocator.
+// InferenceSession (forward_into + argmax_rows_into + pooled alarm head)
+// must never touch the allocator.
 TEST(SteadyState, InferenceSessionPredictHasZeroPoolMissesAfterWarmup) {
   auto model = small_model(17);
   Rng disc_rng(19);
@@ -418,10 +417,8 @@ TEST(SteadyState, InferenceSessionPredictHasZeroPoolMissesAfterWarmup) {
   const Tensor images = rand_uniform({16, 1, 28, 28}, data_rng);
 
   models::InferenceSession session(model, &alarm);
-  std::vector<std::int64_t> copied;
   session.predict(images);  // warmup
   session.alarm_scores();
-  session.predict_into(images, copied);
 
   BufferPool::global().reset_stats();
   for (int i = 0; i < 3; ++i) {
@@ -429,8 +426,6 @@ TEST(SteadyState, InferenceSessionPredictHasZeroPoolMissesAfterWarmup) {
     EXPECT_EQ(labels.size(), 16u);
     const Tensor& scores = session.alarm_scores();
     EXPECT_EQ(scores.shape(), Shape({16, 1}));
-    session.predict_into(images, copied);
-    EXPECT_EQ(copied.size(), 16u);
   }
   const PoolStats stats = BufferPool::global().stats();
   EXPECT_EQ(stats.misses, 0u);
