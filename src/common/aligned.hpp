@@ -4,13 +4,17 @@
 // line boundary so the SIMD kernel backends (src/tensor/backend/) can use
 // aligned vector loads and pack GEMM panels without ever straddling a
 // cache line. The allocator is the single aligned-allocation primitive in
-// the codebase; everything above it sees ordinary std::vector semantics.
+// the codebase; everything above it sees ordinary std::vector semantics,
+// except that growing a buffer leaves the new elements uninitialised.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace zkg {
@@ -50,6 +54,19 @@ class AlignedAllocator {
 
   void deallocate(T* p, std::size_t) noexcept {
     ::operator delete(p, std::align_val_t(Align));
+  }
+
+  /// Default-initialises instead of value-initialising, so resize(n) and
+  /// FloatBuffer(n) leave new floats indeterminate rather than zero-filling
+  /// them serially before a kernel overwrites them. Code that wants zeros
+  /// asks for them (Tensor(shape, fill), Workspace::zeros).
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    std::uninitialized_default_construct_n(p, 1);
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    std::construct_at(p, std::forward<Args>(args)...);
   }
 
   friend bool operator==(const AlignedAllocator&,

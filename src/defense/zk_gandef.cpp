@@ -52,17 +52,16 @@ float GanDefTrainerBase::update_discriminator(const Tensor& class_logits,
 }
 
 float GanDefTrainerBase::update_classifier(
-    const Tensor& images, const std::vector<std::int64_t>& labels,
+    const Tensor& logits, const std::vector<std::int64_t>& labels,
     const Tensor& source_flags) {
   model_.zero_grad();
-  model_.forward_into(images, logits_, /*training=*/true);
   const float ce_loss =
-      nn::softmax_cross_entropy_into(logits_, labels, grad_);
+      nn::softmax_cross_entropy_into(logits, labels, grad_);
 
   // Gradient of the (frozen) discriminator's BCE w.r.t. the logits. The
   // backward runs under InputGradOnly, so D's parameter gradients are never
   // computed: "fix Omega_D" in Algorithm 1, done literally.
-  discriminator_.forward_into(logits_, d_logits_, /*training=*/true);
+  discriminator_.forward_into(logits, d_logits_, /*training=*/true);
   nn::bce_with_logits_into(d_logits_, source_flags, d_grad_);
   {
     const nn::InputGradOnly frozen_discriminator;
@@ -99,20 +98,23 @@ BatchStats GanDefTrainerBase::train_batch(const data::Batch& batch) {
     source_flags_[i] = 1.0f;  // 1 = perturbed
   }
 
-  // Discriminator iterations (classifier frozen: forward only, no update).
+  // One training forward per batch, since C is frozen while D trains: its
+  // logits feed every D step, and update_classifier back-propagates through
+  // the layer caches it leaves (D's passes touch only D's caches).
+  model_.forward_into(combined_, logits_, /*training=*/true);
+
+  // Discriminator iterations (classifier frozen).
   float disc_loss = 0.0f;
   {
     ZKG_SPAN("train.disc_step");
     for (std::int64_t step = 0; step < config_.disc_steps; ++step) {
-      model_.forward_into(combined_, logits_, /*training=*/true);
       disc_loss = update_discriminator(logits_, source_flags_);
     }
-    model_.zero_grad();
   }
 
   // One classifier update (discriminator frozen).
   ZKG_SPAN("train.classifier_step");
-  const float ce = update_classifier(combined_, combined_labels_,
+  const float ce = update_classifier(logits_, combined_labels_,
                                      source_flags_);
   return {ce, disc_loss};
 }

@@ -7,7 +7,9 @@
 // source. Algorithm 1: per global iteration, `disc_steps` discriminator
 // updates with C frozen, then one classifier update with D frozen; the
 // classifier's logit gradient is  dCE/dz - gamma * dBCE/dz,  the second term
-// back-propagated through D.
+// back-propagated through D. Because C is frozen while D trains, each
+// iteration runs one training forward of C: its logits feed every D update
+// and the classifier update back-propagates through its layer caches.
 //
 // GanDefTrainerBase implements the game; the subclasses differ only in how
 // the perturbed half of each batch is produced:
@@ -41,8 +43,11 @@ class GanDefTrainerBase : public Trainer {
                                    Tensor& out) = 0;
 
   /// One classifier update with frozen discriminator: D's parameters and
-  /// their gradients are left untouched. Returns CE.
-  float update_classifier(const Tensor& images,
+  /// their gradients are left untouched. `logits` must be the output of the
+  /// classifier's last training forward; the update back-propagates through
+  /// the layer caches that forward left and runs no forward of its own.
+  /// Returns CE.
+  float update_classifier(const Tensor& logits,
                           const std::vector<std::int64_t>& labels,
                           const Tensor& source_flags);
 

@@ -42,7 +42,7 @@ void copy_into(Tensor& out, const Tensor& a) {
     const auto numel = static_cast<std::size_t>(a.numel());
     FloatBuffer storage = std::move(out.storage());
     if (storage.capacity() < numel) FloatBuffer().swap(storage);
-    storage.resize(numel);
+    resize_uninitialised(storage, numel);
     out = Tensor(a.shape(), std::move(storage));
   }
   copy_floats(out.data(), a.data(), a.numel());

@@ -95,7 +95,7 @@ FloatBuffer BufferPool::acquire(std::size_t numel) {
     }
   }
   if (buffer.capacity() < bucket) buffer.reserve(bucket);
-  buffer.resize(numel);
+  resize_uninitialised(buffer, numel);
   return buffer;
 }
 
@@ -145,12 +145,21 @@ void BufferPool::trim() {
   stats_.free_bytes = 0;
 }
 
+void resize_uninitialised(FloatBuffer& buffer, std::size_t numel) {
+  const std::size_t old_size = buffer.size();
+  buffer.resize(numel);
+  if (ZKG_CHECKED_ENABLED && numel > old_size) {
+    std::fill(buffer.begin() + static_cast<std::ptrdiff_t>(old_size),
+              buffer.end(), BufferPool::poison_value());
+  }
+}
+
 void ensure_shape(Tensor& t, const Shape& shape, BufferPool& pool) {
   if (t.shape() == shape) return;
   const std::size_t numel = static_cast<std::size_t>(shape_numel(shape));
   FloatBuffer buffer = std::move(t.storage());
   if (buffer.capacity() >= numel) {
-    buffer.resize(numel);
+    resize_uninitialised(buffer, numel);
   } else {
     if (buffer.capacity() > 0) pool.release(std::move(buffer));
     buffer = pool.acquire(numel);

@@ -109,6 +109,12 @@ class BufferPool {
   PoolStats stats_;
 };
 
+/// Resizes `buffer` to `numel` elements without filling the new ones (the
+/// allocator default-initialises floats). ZKG_CHECKED builds poison every
+/// newly exposed element, so code that reads it before writing it, for
+/// instance by assuming zeros, trips the NaN tripwires.
+void resize_uninitialised(FloatBuffer& buffer, std::size_t numel);
+
 /// Resizes `t` to `shape` with steady-state-free semantics: a no-op when the
 /// shape already matches, an in-place metadata/size change when the storage
 /// capacity suffices, and a pool release+acquire only on real growth.

@@ -168,6 +168,26 @@ TEST(PoolPoison, WriteAfterReleaseTripsOnReacquire) {
   EXPECT_NE(msg.find("element 3"), std::string::npos) << msg;
 }
 
+TEST(PoolPoison, UnwrittenGrowthIsPoisonedNotZero) {
+  // Growing a buffer writes nothing, so checked builds poison what a fresh
+  // bucket or an in-capacity regrowth exposes: a reader assuming zeros
+  // trips the NaN tripwires instead of passing by luck.
+  BufferPool pool;
+  FloatBuffer fresh = pool.acquire(512);
+  for (const float v : fresh) ASSERT_TRUE(BufferPool::is_poison(v));
+  pool.release(std::move(fresh));
+
+  Tensor t;
+  ensure_shape(t, {16, 32}, pool);
+  t.fill(1.0f);
+  ensure_shape(t, {8, 32}, pool);
+  ensure_shape(t, {16, 32}, pool);  // regrows within capacity
+  for (std::int64_t i = 0; i < 8 * 32; ++i) ASSERT_EQ(t[i], 1.0f);
+  for (std::int64_t i = 8 * 32; i < t.numel(); ++i) {
+    ASSERT_TRUE(BufferPool::is_poison(t[i])) << "element " << i;
+  }
+}
+
 TEST(PoolPoison, CleanRecycleRoundTripsQuietly) {
   BufferPool pool;
   FloatBuffer buffer = pool.acquire(512);

@@ -409,8 +409,9 @@ TEST(ZkGanDef, ClassifierStepLeavesFrozenDiscriminatorGradients) {
   for (std::int64_t i = train.size() / 2; i < train.size(); ++i) {
     flags[i] = 1.0f;
   }
-  const float ce = trainer.update_classifier(train.images, train.labels,
-                                             flags);
+  Tensor logits;
+  model.forward_into(train.images, logits, /*training=*/true);
+  const float ce = trainer.update_classifier(logits, train.labels, flags);
   EXPECT_TRUE(std::isfinite(ce));
   EXPECT_FALSE(model.parameters().front()->value().equals(classifier_before));
   for (std::size_t i = 0; i < d_params.size(); ++i) {
