@@ -217,7 +217,10 @@ class Reader {
     const auto data_bytes = static_cast<std::uint64_t>(numel) * sizeof(float);
     need(data_bytes, what);  // before the allocation, not after
     Tensor t(shape);
-    std::memcpy(t.data(), bytes_.data() + pos_, data_bytes);
+    // A zero-element tensor has a null data(), which memcpy may not take.
+    if (data_bytes > 0) {
+      std::memcpy(t.data(), bytes_.data() + pos_, data_bytes);
+    }
     pos_ += data_bytes;
     return t;
   }

@@ -23,7 +23,15 @@ class Rng {
   /// Uniform real in [lo, hi).
   float uniform(float lo = 0.0f, float hi = 1.0f);
 
-  /// Gaussian with the given mean / standard deviation.
+  /// Gaussian with the given mean / standard deviation; stddev must be > 0.
+  /// Each call builds a fresh std::normal_distribution and so discards the
+  /// second value of the polar-method pair it generates. That is
+  /// deliberate: the stream's whole state stays the engine, which state()
+  /// serializes, and callers that interleave normal() with other draws
+  /// (dataset synthesis, fill_normal/randn, weight init) keep their
+  /// historical streams. A bulk draw that needs speed holds one
+  /// distribution for the length of one call instead
+  /// (data::gaussian_augment_into).
   float normal(float mean = 0.0f, float stddev = 1.0f);
 
   /// Uniform integer in [lo, hi] (inclusive).

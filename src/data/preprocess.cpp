@@ -1,6 +1,7 @@
 #include "data/preprocess.hpp"
 
 #include <numeric>
+#include <random>
 
 #include "tensor/ops.hpp"
 #include "tensor/pool.hpp"
@@ -47,11 +48,18 @@ void gaussian_augment_into(Tensor& out, const Tensor& images, Rng& rng,
                            float sigma) {
   ZKG_CHECK(sigma >= 0.0f) << " sigma " << sigma;
   ensure_shape(out, images.shape());
+  if (sigma == 0.0f) {
+    // N(0, 0) is no distribution the standard library may construct.
+    clamp_into(out, images, kPixelMin, kPixelMax);
+    return;
+  }
   const float* src = images.data();
   float* dst = out.data();
-  // Same per-element noise draw order as randn + add: images[i] + N(0,sigma).
+  // One distribution for the whole call, drawn serially in element order:
+  // it hands out both values of each polar-method pair it generates.
+  std::normal_distribution<float> noise(0.0f, sigma);
   for (std::int64_t i = 0; i < images.numel(); ++i) {
-    dst[i] = src[i] + rng.normal(0.0f, sigma);
+    dst[i] = src[i] + noise(rng.engine());
   }
   clamp_(out, kPixelMin, kPixelMax);
 }

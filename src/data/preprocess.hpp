@@ -29,7 +29,11 @@ TrainTestSplit separate(const Dataset& full, std::int64_t test_count, Rng& rng);
 
 /// Augmentation: adds i.i.d. Gaussian noise N(0, sigma^2) and re-projects
 /// into [-1, 1], writing into a caller-provided (reusable) tensor. The paper
-/// (following Kannan et al.) uses mu=0, sigma=1.
+/// (following Kannan et al.) uses mu=0, sigma=1. The noise comes from one
+/// std::normal_distribution on rng.engine() per call, drawn in element
+/// order, so each polar-method pair it generates yields two noise values.
+/// sigma = 0 is a clamped copy of `images` that draws nothing from `rng`;
+/// sigma < 0 throws InvalidArgument.
 void gaussian_augment_into(Tensor& out, const Tensor& images, Rng& rng,
                            float sigma = 1.0f);
 

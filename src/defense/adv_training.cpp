@@ -35,7 +35,7 @@ BatchStats AdversarialTrainer::train_batch(const data::Batch& batch) {
     model_.zero_grad();
     model_.forward_into(combined_, logits_, /*training=*/true);
     loss = nn::softmax_cross_entropy_into(logits_, labels, grad_);
-    model_.backward_into(grad_, grad_input_);
+    model_.backward_params(grad_);
   }
   {
     ZKG_SPAN("train.optimizer");

@@ -31,7 +31,6 @@ class AdversarialTrainer : public Trainer {
   Tensor combined_;
   Tensor logits_;
   Tensor grad_;
-  Tensor grad_input_;
 };
 
 /// FGSM-Adv with the budget in `config.attack`.

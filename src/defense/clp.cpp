@@ -39,7 +39,7 @@ BatchStats ClpTrainer::train_batch(const data::Batch& batch) {
     concat_rows_into(pair_grad_, pair.grad_a, pair.grad_b);
     add_(grad_, pair_grad_);
 
-    model_.backward_into(grad_, grad_input_);
+    model_.backward_params(grad_);
   }
   {
     ZKG_SPAN("train.optimizer");

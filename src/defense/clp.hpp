@@ -28,7 +28,6 @@ class ClpTrainer : public Trainer {
   Tensor logits_;
   Tensor grad_;
   Tensor pair_grad_;
-  Tensor grad_input_;
 };
 
 }  // namespace zkg::defense

@@ -26,7 +26,7 @@ BatchStats ClsTrainer::train_batch(const data::Batch& batch) {
 
     add_(grad_, squeeze_grad_);
 
-    model_.backward_into(grad_, grad_input_);
+    model_.backward_params(grad_);
   }
   {
     ZKG_SPAN("train.optimizer");

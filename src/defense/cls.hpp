@@ -27,7 +27,6 @@ class ClsTrainer : public Trainer {
   Tensor logits_;
   Tensor grad_;
   Tensor squeeze_grad_;
-  Tensor grad_input_;
 };
 
 }  // namespace zkg::defense

@@ -20,7 +20,6 @@ class VanillaTrainer : public Trainer {
   // Per-batch temporaries reused across steps.
   Tensor logits_;
   Tensor grad_;
-  Tensor grad_input_;
 };
 
 }  // namespace zkg::defense

@@ -33,7 +33,7 @@ float GanDefTrainerBase::update_discriminator(const Tensor& class_logits,
   discriminator_.forward_into(class_logits, d_logits_, /*training=*/true);
   const float bce_loss =
       nn::bce_with_logits_into(d_logits_, source_flags, d_grad_);
-  discriminator_.backward_into(d_grad_, d_grad_input_);
+  discriminator_.backward_params(d_grad_);
   disc_optimizer_->step();
   discriminator_.zero_grad();
 
@@ -71,7 +71,7 @@ float GanDefTrainerBase::update_classifier(
   // min_C  CE - gamma * BCE  =>  dL/dz = dCE/dz - gamma * dBCE/dz.
   axpy_(grad_, -config_.gamma, bce_grad_wrt_logits_);
 
-  model_.backward_into(grad_, grad_input_);
+  model_.backward_params(grad_);
   optimizer_->step();
   model_.zero_grad();
   return ce_loss;

@@ -66,10 +66,8 @@ class GanDefTrainerBase : public Trainer {
   Tensor source_flags_;
   Tensor logits_;
   Tensor grad_;
-  Tensor grad_input_;
   Tensor d_logits_;
   Tensor d_grad_;
-  Tensor d_grad_input_;
   Tensor bce_grad_wrt_logits_;
   std::vector<std::int64_t> combined_labels_;
 };

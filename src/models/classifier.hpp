@@ -38,8 +38,15 @@ class Classifier {
   /// into a caller-provided (reusable) tensor.
   void forward_into(const Tensor& images, Tensor& logits, bool training);
 
-  /// Back-propagates a logit gradient into the image gradient.
+  /// Back-propagates a logit gradient into the image gradient (attacks).
   void backward_into(const Tensor& grad_logits, Tensor& grad_images);
+
+  /// The training backward: accumulates the parameter gradients of
+  /// backward_into() bit for bit and computes no image gradient
+  /// (nn::Sequential::backward_params).
+  void backward_params(const Tensor& grad_logits) {
+    net_.backward_params(grad_logits);
+  }
 
   std::vector<nn::Parameter*> parameters() { return net_.parameters(); }
   void zero_grad() { net_.zero_grad(); }

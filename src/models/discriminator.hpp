@@ -26,6 +26,12 @@ class Discriminator {
   /// Back-propagates to the classifier logits (the GAN coupling path).
   void backward_into(const Tensor& grad_output, Tensor& grad_logits);
 
+  /// D's own training backward: its parameter gradients only, with no
+  /// gradient w.r.t. the classifier logits (nn::Sequential::backward_params).
+  void backward_params(const Tensor& grad_output) {
+    net_.backward_params(grad_output);
+  }
+
   /// P(input was perturbed) in [0, 1], shape [B, 1], written into pooled
   /// caller scratch (steady-state free). Inference only.
   void probability_into(const Tensor& class_logits, Tensor& out);

@@ -131,9 +131,11 @@ void Conv2d::backward_into(const Tensor& grad_output, Tensor& grad_input) {
     bias_.accumulate_grad(grad_b_scratch_);
   }
 
-  ensure_shape(grad_input, input_shape);
-  backend::active().conv_backward_input(grad_input.data(), grad_output.data(),
-                                        weight_.value().data(), shape);
+  if (input_grads_enabled()) {
+    ensure_shape(grad_input, input_shape);
+    backend::active().conv_backward_input(
+        grad_input.data(), grad_output.data(), weight_.value().data(), shape);
+  }
 }
 
 std::string Conv2d::name() const {

@@ -40,7 +40,9 @@ void Dense::backward_into(const Tensor& grad_output, Tensor& grad_input) {
     col_sum_into(grad_b_scratch_, grad_output);
     bias_.accumulate_grad(grad_b_scratch_);
   }
-  matmul_into(grad_input, grad_output, weight_.value());
+  if (input_grads_enabled()) {
+    matmul_into(grad_input, grad_output, weight_.value());
+  }
 }
 
 std::string Dense::name() const {

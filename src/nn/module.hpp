@@ -3,11 +3,16 @@
 // The library uses layer-wise backpropagation rather than a taped autograd:
 // forward_into() caches whatever the layer needs, backward_into() consumes
 // the cache, accumulates parameter gradients and returns the gradient w.r.t.
-// the input. Returning the input gradient is load-bearing — white-box
-// attacks (FGSM, BIM, PGD, DeepFool, CW) are driven by it. Under an
+// the input. The input gradient is for attacks: white-box attacks (FGSM,
+// BIM, PGD, DeepFool, CW) are driven by it. Training does not read it and
+// calls Sequential::backward_params() instead, which leaves the parameter
+// gradients bit-identical and skips the network's input gradient. Under an
 // nn::InputGradOnly scope (nn/parameter.hpp) on the calling thread, layers
 // skip the parameter-gradient work and leave every Parameter::grad()
-// untouched; the input gradient is bit-identical either way.
+// untouched; the input gradient is bit-identical either way. Under the
+// mirror scope nn::ParamGradOnly, which only backward_params() opens around
+// one layer, Conv2d and Dense skip the input-gradient kernel and leave
+// `grad_input` unwritten.
 //
 // The _into forms are the only interface: they write into caller-provided
 // destination tensors resized via ensure_shape(), so a layer driven with the
@@ -40,7 +45,8 @@ class Module {
   /// Back-propagates `grad_output` (gradient of the loss w.r.t. this
   /// layer's output), accumulating parameter gradients as a side effect
   /// unless nn::InputGradOnly is active on this thread. Writes the gradient
-  /// w.r.t. this layer's input into `grad_input`.
+  /// w.r.t. this layer's input into `grad_input`; under nn::ParamGradOnly,
+  /// Conv2d and Dense leave it unwritten.
   virtual void backward_into(const Tensor& grad_output,
                              Tensor& grad_input) = 0;
 

@@ -6,6 +6,7 @@ namespace zkg::nn {
 namespace {
 
 thread_local bool t_param_grads_enabled = true;
+thread_local bool t_input_grads_enabled = true;
 
 }  // namespace
 
@@ -26,6 +27,14 @@ InputGradOnly::InputGradOnly() : previous_(t_param_grads_enabled) {
 
 InputGradOnly::~InputGradOnly() { t_param_grads_enabled = previous_; }
 
+ParamGradOnly::ParamGradOnly() : previous_(t_input_grads_enabled) {
+  t_input_grads_enabled = false;
+}
+
+ParamGradOnly::~ParamGradOnly() { t_input_grads_enabled = previous_; }
+
 bool param_grads_enabled() { return t_param_grads_enabled; }
+
+bool input_grads_enabled() { return t_input_grads_enabled; }
 
 }  // namespace zkg::nn

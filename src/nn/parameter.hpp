@@ -34,9 +34,10 @@ class Parameter {
 
 /// RAII scope under which backward passes on the calling thread compute
 /// only the gradient w.r.t. their input: Conv2d and Dense skip their
-/// parameter-gradient work and leave every Parameter::grad() untouched. Attacks and the backward through a frozen network run under
-/// it. The flag is thread-local, so models trained on other threads keep
-/// accumulating; scopes nest and restore the previous state on exit.
+/// parameter-gradient work and leave every Parameter::grad() untouched.
+/// Attacks and the backward through a frozen network run under it. The flag
+/// is thread-local, so models trained on other threads keep accumulating;
+/// scopes nest and restore the previous state on exit.
 class InputGradOnly {
  public:
   InputGradOnly();
@@ -48,9 +49,30 @@ class InputGradOnly {
   bool previous_;
 };
 
+/// The mirror of InputGradOnly: under it, Conv2d and Dense backward passes
+/// on the calling thread accumulate their parameter gradients but skip the
+/// input-gradient kernel and leave `grad_input` unwritten. Only
+/// Sequential::backward_params opens it, around the one layer whose input
+/// gradient nothing reads. Thread-local; scopes nest and restore the
+/// previous state on exit.
+class ParamGradOnly {
+ public:
+  ParamGradOnly();
+  ~ParamGradOnly();
+  ParamGradOnly(const ParamGradOnly&) = delete;
+  ParamGradOnly& operator=(const ParamGradOnly&) = delete;
+
+ private:
+  bool previous_;
+};
+
 /// False while an InputGradOnly scope is active on the calling thread.
 /// Layers read it once per backward, on the calling thread, before any
 /// parallel_for.
 bool param_grads_enabled();
+
+/// False while a ParamGradOnly scope is active on the calling thread; read
+/// like param_grads_enabled().
+bool input_grads_enabled();
 
 }  // namespace zkg::nn

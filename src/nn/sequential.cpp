@@ -6,6 +6,27 @@
 #include "tensor/pool.hpp"
 
 namespace zkg::nn {
+namespace {
+
+// Back-propagates `grad_output` through the layers above index `stop`,
+// ping-ponging through two buffers of `ws`; returns the gradient w.r.t. the
+// output of layer `stop`.
+const Tensor& backward_above(const std::vector<ModulePtr>& layers,
+                             std::size_t stop, const Tensor& grad_output,
+                             Workspace& ws) {
+  const Tensor* cur = &grad_output;
+  Tensor* bufs[2] = {&ws.scratch(), &ws.scratch()};
+  std::size_t k = 0;
+  for (std::size_t i = layers.size(); i-- > stop + 1; ++k) {
+    Tensor* dst = bufs[k % 2];
+    layers[i]->backward_into(*cur, *dst);
+    ZKG_CHECKED_FINITE(*dst, layers[i]->name(), "backward");
+    cur = dst;
+  }
+  return *cur;
+}
+
+}  // namespace
 
 Sequential& Sequential::add(ModulePtr layer) {
   ZKG_REQUIRE(layer != nullptr);
@@ -41,24 +62,26 @@ void Sequential::forward_into(const Tensor& input, Tensor& out,
 
 void Sequential::backward_into(const Tensor& grad_output, Tensor& grad_input) {
   ZKG_REQUIRE(!layers_.empty()) << " backward through empty Sequential";
-  const std::size_t n = layers_.size();
-  if (n == 1) {
-    layers_[0]->backward_into(grad_output, grad_input);
-    ZKG_CHECKED_FINITE(grad_input, layers_[0]->name(), "backward");
-    return;
-  }
   Workspace ws;
-  Tensor* bufs[2] = {&ws.scratch(), &ws.scratch()};
-  const Tensor* cur = &grad_output;
-  std::size_t k = 0;
-  for (std::size_t i = n; i-- > 1; ++k) {
-    Tensor* dst = bufs[k % 2];
-    layers_[i]->backward_into(*cur, *dst);
-    ZKG_CHECKED_FINITE(*dst, layers_[i]->name(), "backward");
-    cur = dst;
-  }
-  layers_[0]->backward_into(*cur, grad_input);
+  const Tensor& grad = backward_above(layers_, 0, grad_output, ws);
+  layers_[0]->backward_into(grad, grad_input);
   ZKG_CHECKED_FINITE(grad_input, layers_[0]->name(), "backward");
+}
+
+void Sequential::backward_params(const Tensor& grad_output) {
+  std::size_t first = 0;
+  while (first < layers_.size() && layers_[first]->parameters().empty()) {
+    ++first;
+  }
+  ZKG_REQUIRE(first < layers_.size())
+      << " backward_params through a Sequential without parameters";
+  Workspace ws;
+  const Tensor& grad = backward_above(layers_, first, grad_output, ws);
+  // Nothing reads the gradient w.r.t. this layer's input, and the layers
+  // below it have no parameters, so they are not called.
+  const ParamGradOnly param_grads_only;
+  Tensor unread;
+  layers_[first]->backward_into(grad, unread);
 }
 
 std::vector<Parameter*> Sequential::parameters() {

@@ -23,6 +23,15 @@ class Sequential : public Module {
 
   void forward_into(const Tensor& input, Tensor& out, bool training) override;
   void backward_into(const Tensor& grad_output, Tensor& grad_input) override;
+
+  /// The training backward: accumulates every parameter gradient exactly
+  /// as backward_into() would, bit for bit, but computes no gradient w.r.t.
+  /// the network input. Layers above the first layer with parameters run
+  /// as in backward_into(); that layer runs under nn::ParamGradOnly, and the
+  /// parameter-free layers below it are not called. Requires at least one
+  /// layer with parameters, each such layer a leaf (Conv2d or Dense), not a
+  /// nested Sequential.
+  void backward_params(const Tensor& grad_output);
   std::vector<Parameter*> parameters() override;
   std::string name() const override;
   void collect_rngs(std::vector<Rng*>& out) override;

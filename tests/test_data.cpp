@@ -2,7 +2,9 @@
 // generator invariants across all three synthetic datasets.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
+#include <string>
 
 #include "data/batcher.hpp"
 #include "data/dataset.hpp"
@@ -155,11 +157,52 @@ TEST(Preprocess, GaussianAugmentClampsAndPerturbs) {
   EXPECT_GE(min_value(augmented), kPixelMin);
   EXPECT_LE(max_value(augmented), kPixelMax);
   EXPECT_FALSE(augmented.equals(images));
-  // sigma = 0 is the identity.
+  // sigma = 0 is the identity and draws nothing.
+  const std::string before = rng.state();
   gaussian_augment_into(augmented, images, rng, 0.0f);
   EXPECT_TRUE(augmented.equals(images));
+  EXPECT_EQ(rng.state(), before);
+  // ... and still projects into the valid range.
+  const Tensor wild({3}, std::vector<float>{-3.0f, 0.25f, 3.0f});
+  gaussian_augment_into(augmented, wild, rng, 0.0f);
+  EXPECT_TRUE(augmented.equals(
+      Tensor({3}, std::vector<float>{kPixelMin, 0.25f, kPixelMax})));
   EXPECT_THROW(gaussian_augment_into(augmented, images, rng, -1.0f),
                InvalidArgument);
+}
+
+// The noise of one training batch (64 MNIST-sized images of mid-grey
+// pixels) has mean 0 and standard deviation sigma. At n = 50,176 draws the
+// standard errors are 0.0045 sigma (mean) and 0.0032 sigma (deviation);
+// the tolerances are five of them. Adjacent draws, which share one
+// polar-method pair half the time, must be uncorrelated within five
+// standard errors (1 / sqrt(n) = 0.0045). sigma stays small enough that no
+// draw reaches the clamp at +-1, so the moments are those of the raw noise.
+TEST(Preprocess, GaussianAugmentNoiseMoments) {
+  const Tensor grey({64, 1, 28, 28}, 0.0f);
+  const double n = static_cast<double>(grey.numel());
+  for (const float sigma : {0.1f, 0.2f}) {
+    SCOPED_TRACE("sigma " + std::to_string(sigma));
+    Rng rng(2019);
+    Tensor noisy;
+    gaussian_augment_into(noisy, grey, rng, sigma);
+    ASSERT_GT(min_value(noisy), kPixelMin);
+    ASSERT_LT(max_value(noisy), kPixelMax);
+    double sum = 0.0;
+    for (std::int64_t i = 0; i < noisy.numel(); ++i) sum += noisy[i];
+    const double mean = sum / n;
+    double squares = 0.0;
+    double lag_products = 0.0;
+    for (std::int64_t i = 0; i < noisy.numel(); ++i) {
+      const double d = noisy[i] - mean;
+      squares += d * d;
+      if (i + 1 < noisy.numel()) lag_products += d * (noisy[i + 1] - mean);
+    }
+    const double stddev = std::sqrt(squares / (n - 1.0));
+    EXPECT_NEAR(mean, 0.0, 5.0 * 0.0045 * sigma);
+    EXPECT_NEAR(stddev, sigma, 5.0 * 0.0032 * sigma);
+    EXPECT_NEAR(lag_products / squares, 0.0, 5.0 * 0.0045);
+  }
 }
 
 TEST(Preprocess, ProjectValid) {

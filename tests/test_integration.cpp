@@ -17,6 +17,7 @@
 #include "eval/evaluator.hpp"
 #include "eval/experiments.hpp"
 #include "models/lenet.hpp"
+#include "nn/parameter.hpp"
 #include "nn/sequential.hpp"
 #include "tensor/ops.hpp"
 
@@ -139,6 +140,8 @@ TEST(TrainingTimeShape, ZeroKnowledgeIsCheaperThanPgdAdv) {
 struct PassCounts {
   std::int64_t forwards = 0;
   std::int64_t backwards = 0;
+  // Backwards run under nn::ParamGradOnly: no input gradient computed.
+  std::int64_t param_only_backwards = 0;
 };
 
 /// Counts the passes through the layer it wraps (the test-side twin of
@@ -154,6 +157,7 @@ class CountingLayer : public nn::Module {
   }
   void backward_into(const Tensor& grad_output, Tensor& grad_input) override {
     ++counts_.backwards;
+    if (!nn::input_grads_enabled()) ++counts_.param_only_backwards;
     inner_.backward_into(grad_output, grad_input);
   }
   std::vector<nn::Parameter*> parameters() override {
@@ -188,11 +192,16 @@ class CountedLenet {
 
   models::Classifier& model() { return *model_; }
 
-  /// The network's passes; every layer must have seen each one.
+  /// The network's passes, as layer 0 saw them. Every layer must have seen
+  /// each one, and only layer 0 (LeNet's first layer with parameters) may
+  /// skip its input gradient.
   PassCounts passes() const {
-    for (const PassCounts& layer : counts_) {
-      EXPECT_EQ(layer.forwards, counts_.front().forwards);
-      EXPECT_EQ(layer.backwards, counts_.front().backwards);
+    for (std::size_t i = 0; i < counts_.size(); ++i) {
+      EXPECT_EQ(counts_[i].forwards, counts_.front().forwards);
+      EXPECT_EQ(counts_[i].backwards, counts_.front().backwards);
+      if (i > 0) {
+        EXPECT_EQ(counts_[i].param_only_backwards, 0) << "layer " << i;
+      }
     }
     return counts_.front();
   }
@@ -251,6 +260,10 @@ StepCost step_cost(defense::DefenseId id, const defense::TrainConfig& config) {
   const ckpt::TrainState state = trainer->capture_state();
   EXPECT_EQ(passes.forwards % kCountedBatches, 0);
   EXPECT_EQ(passes.backwards % kCountedBatches, 0);
+  // One training backward per batch, and it computes no image gradient;
+  // every other backward is the attack's, which needs one.
+  EXPECT_EQ(passes.param_only_backwards, kCountedBatches)
+      << defense::defense_name(id);
   StepCost cost;
   cost.forwards = passes.forwards / kCountedBatches;
   cost.backwards = passes.backwards / kCountedBatches;
@@ -287,6 +300,7 @@ TEST_P(DefensePassCounts, MatchAlgorithmsAndOrderFigure5) {
   // the stronger candidate.
   EXPECT_EQ(pgd.forwards, 3 * 2 + 2);
   EXPECT_EQ(pgd.backwards, 3 * 2);
+  EXPECT_EQ(pgd.param_only_backwards, 0);  // the attack needs dL/dx
 
   const StepCost plain{1, 1, 1, 0};
   EXPECT_EQ(step_cost(DefenseId::kVanilla, config), plain);
@@ -298,6 +312,9 @@ TEST_P(DefensePassCounts, MatchAlgorithmsAndOrderFigure5) {
   const StepCost zk = step_cost(DefenseId::kZkGanDef, config);
   EXPECT_EQ(zk, (StepCost{1, 1, 1, disc_steps}));
 
+  // step_cost checks that one backward per batch is parameter-only, so
+  // FGSM-Adv's second backward, and PGD's six, still produce the image
+  // gradient the attack steps along.
   const StepCost fgsm_adv = step_cost(DefenseId::kFgsmAdv, config);
   EXPECT_EQ(fgsm_adv, (StepCost{2, 2, 1, 0}));
   const StepCost pgd_adv = step_cost(DefenseId::kPgdAdv, config);

@@ -17,6 +17,7 @@
 #include "models/session.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/random.hpp"
+#include "test_util.hpp"
 
 namespace zkg::models {
 namespace {
@@ -170,6 +171,62 @@ TEST(Discriminator, BackwardReachesClassLogits) {
   d.backward_into(Tensor({3, 1}, 1.0f), grad);
   EXPECT_EQ(grad.shape(), Shape({3, 10}));
   EXPECT_GT(max_abs(grad), 0.0f);
+}
+
+// ------------------------------------------------- the training backward
+
+// backward_params() is the training backward: from the same forward caches
+// it leaves every parameter gradient bit-identical to backward_into()'s.
+template <typename Net>
+void expect_backward_params_matches(Net& net, const Tensor& x,
+                                    const Tensor& grad_output) {
+  Tensor out;
+  net.forward_into(x, out, /*training=*/true);
+  net.zero_grad();
+  Tensor grad_input;
+  net.backward_into(grad_output, grad_input);
+  std::vector<Tensor> full;
+  for (nn::Parameter* p : net.parameters()) full.push_back(p->grad());
+
+  net.zero_grad();
+  net.backward_params(grad_output);
+  const std::vector<nn::Parameter*> params = net.parameters();
+  ASSERT_EQ(params.size(), full.size());
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    EXPECT_TRUE(testutil::same_bits(params[i]->grad(), full[i]))
+        << params[i]->name();
+    EXPECT_GT(max_abs(params[i]->grad()), 0.0f) << params[i]->name();
+  }
+}
+
+TEST(BackwardParams, LeNetParameterGradientsAreBitIdentical) {
+  Rng rng(21);
+  Classifier model = build_lenet({1, 28, 28, 10}, Preset::kBench, rng);
+  const Tensor x = randn({4, 1, 28, 28}, rng, 0.0f, 0.3f);
+  expect_backward_params_matches(model, x, randn({4, 10}, rng));
+}
+
+// Layer 0 is the input Dropout: backward_params stops at the conv above it.
+TEST(BackwardParams, AllCnnWithInputDropoutParameterGradientsAreBitIdentical) {
+  Rng rng(22);
+  Classifier model = build_allcnn({3, 32, 32, 10}, Preset::kBench, rng, 0.2f);
+  ASSERT_TRUE(model.net().layer(0).parameters().empty());
+  const Tensor x = randn({2, 3, 32, 32}, rng, 0.0f, 0.3f);
+  expect_backward_params_matches(model, x, randn({2, 10}, rng));
+}
+
+TEST(BackwardParams, MlpParameterGradientsAreBitIdentical) {
+  Rng rng(23);
+  Classifier mlp = build_mlp({1, 28, 28, 10}, {32, 16}, rng);
+  const Tensor x = randn({3, 1, 28, 28}, rng, 0.0f, 0.3f);
+  expect_backward_params_matches(mlp, x, randn({3, 10}, rng));
+}
+
+TEST(BackwardParams, DiscriminatorParameterGradientsAreBitIdentical) {
+  Rng rng(24);
+  Discriminator d(10, rng);
+  const Tensor z = randn({5, 10}, rng);
+  expect_backward_params_matches(d, z, randn({5, 1}, rng));
 }
 
 // ------------------------------------------------------------------- MLP

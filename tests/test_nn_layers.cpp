@@ -220,6 +220,17 @@ TEST(Conv2d, MatchesIm2ColReferenceBitwise) {
       }
       EXPECT_TRUE(same_bits(attack_grad_x, ref.dx));
       EXPECT_EQ(max_abs(conv.weight().grad()), 0.0f);
+
+      // Training backwards at a network's first layer give the same dW/db
+      // and leave dX unwritten.
+      Tensor unread({1}, 7.0f);
+      {
+        const ParamGradOnly param_only;
+        conv.backward_into(grad_y, unread);
+      }
+      EXPECT_TRUE(same_bits(unread, Tensor({1}, 7.0f)));
+      EXPECT_TRUE(same_bits(conv.weight().grad(), dw));
+      EXPECT_TRUE(same_bits(conv.bias().grad(), db));
     }
   }
 }
@@ -475,6 +486,35 @@ TEST(InputGradOnly, RestoredAfterNestingAndExceptions) {
       },
       std::runtime_error);
   EXPECT_TRUE(param_grads_enabled());
+
+  // The mirror scope keeps its own flag.
+  EXPECT_TRUE(input_grads_enabled());
+  {
+    const ParamGradOnly outer;
+    EXPECT_FALSE(input_grads_enabled());
+    EXPECT_TRUE(param_grads_enabled());
+    {
+      const ParamGradOnly inner;
+      EXPECT_FALSE(input_grads_enabled());
+    }
+    EXPECT_FALSE(input_grads_enabled());
+  }
+  EXPECT_TRUE(input_grads_enabled());
+  EXPECT_THROW(
+      {
+        const ParamGradOnly scope;
+        throw std::runtime_error("thrown inside the scope");
+      },
+      std::runtime_error);
+  EXPECT_TRUE(input_grads_enabled());
+}
+
+TEST(BackwardParams, RejectsNetworkWithoutParameters) {
+  Sequential net;
+  net.emplace<ReLU>();
+  Tensor y;
+  net.forward_into(Tensor({2, 3}, 1.0f), y, /*training=*/true);
+  EXPECT_THROW(net.backward_params(Tensor({2, 3}, 1.0f)), InvalidArgument);
 }
 
 // ------------------------------------ conv vs naive reference, parameterized
