@@ -5,21 +5,25 @@
 // The public entry points in tensor/linalg.hpp and tensor/ops.hpp keep
 // their signatures: they validate contracts, size destinations through the
 // pool, then call through backend::active(); nn::Conv2d calls the conv
-// entries itself. Two backends exist:
+// entries itself. Three backends exist:
 //
 //   scalar  portable C++ loops — exactly the kernels this library always
 //           shipped, extracted behind the table. Bit-identical to the
 //           pre-backend implementation.
-//   avx2    AVX2/FMA: a packed, register-blocked GEMM microkernel plus
-//           vectorized elementwise kernels. Compiled into every x86-64
-//           build (with per-file -mavx2 -mfma) and selected only when the
-//           running CPU reports AVX2+FMA support.
+//   avx2    AVX2/FMA: a packed GEMM driver (packed_gemm.hpp) on a 6x16
+//           register tile plus vectorized elementwise kernels. Compiled
+//           into every x86-64 build (with per-file -mavx2 -mfma) and
+//           selected only when the running CPU reports AVX2+FMA support.
+//   avx512  the avx2 table with the GEMM and conv entries on an 8x16 tile
+//           of ZMM accumulators (per-file -mavx512f); selected only when
+//           the CPU reports AVX-512F. Bit-identical to avx2.
 //
-// Selection happens once, at first use: ZKG_BACKEND=scalar|avx2|auto
-// (default auto = best supported). Every backend is deterministic and
-// bit-identical run-to-run; *across* backends the GEMM family agrees only
-// within tolerance, because FMA contraction and blocked accumulation
-// legitimately change low-order bits (see DESIGN.md §13).
+// Selection happens once, at first use: ZKG_BACKEND=scalar|avx2|avx512|
+// auto (default auto = the first supported of avx512, avx2, scalar). Every
+// backend is deterministic and bit-identical run-to-run; between scalar
+// and the SIMD tables the GEMM family agrees only within tolerance,
+// because FMA contraction and blocked accumulation legitimately change
+// low-order bits (see DESIGN.md §13).
 //
 // Raw SIMD intrinsics are confined to src/tensor/backend/ — enforced by
 // tools/analyze.py (simd-outside-backend).
@@ -54,7 +58,7 @@ struct ConvShape {
 /// validated by the linalg/ops entry points, and destinations are fully
 /// overwritten (never read) unless a kernel is documented as in-place.
 struct KernelBackend {
-  const char* name;  // "scalar" | "avx2"
+  const char* name;  // "scalar" | "avx2" | "avx512"
   bool simd;         // true when explicit vector intrinsics are used
 
   // ---- GEMM family ----
@@ -132,17 +136,29 @@ const KernelBackend* avx2_backend_if_supported();
 /// True when the running CPU supports AVX2 and FMA (runtime CPUID probe).
 bool cpu_supports_avx2();
 
-/// The backend every linalg/ops entry point dispatches through. Resolved
-/// once on first use from ZKG_BACKEND (scalar|avx2|auto; default auto =
-/// avx2 when supported, else scalar). Throws zkg::ConfigError when the
-/// variable names an unknown backend or one the CPU cannot run.
+/// The AVX-512 backend (8x16 GEMM/conv tile), or nullptr when this
+/// build/CPU cannot run it.
+const KernelBackend* avx512_backend_if_supported();
+
+/// True when the running CPU supports AVX-512F with OS-saved ZMM state, and
+/// AVX2+FMA (runtime CPUID probe).
+bool cpu_supports_avx512();
+
+/// The backend every linalg/ops entry point dispatches through: resolve()
+/// of ZKG_BACKEND (default auto), once, on first use.
 const KernelBackend& active();
 
-/// Name of active(), for logs/benches ("scalar" or "avx2").
+/// The backend a ZKG_BACKEND value selects: a table's name, or "auto" for
+/// the first of avx512, avx2, scalar the CPU supports. Throws
+/// zkg::ConfigError, listing the valid values, for an unknown name or one
+/// the CPU cannot run.
+const KernelBackend& resolve(const std::string& choice);
+
+/// Name of active(), for logs/benches ("scalar", "avx2" or "avx512").
 const char* active_name();
 
-/// Backend with the given name ("scalar", "avx2"), or nullptr when unknown
-/// or unsupported on this CPU.
+/// Backend with the given name ("scalar", "avx2", "avx512"), or nullptr when
+/// unknown or unsupported on this CPU.
 const KernelBackend* find(const std::string& name);
 
 /// RAII scope forcing a specific backend process-wide. Tests and benches

@@ -18,22 +18,6 @@ namespace {
 
 std::atomic<const KernelBackend*> g_active{nullptr};
 
-const KernelBackend& resolve_from_env() {
-  const std::string choice = env_or("ZKG_BACKEND", "auto");
-  if (choice == "auto") {
-    const KernelBackend* avx2 = avx2_backend_if_supported();
-    return avx2 != nullptr ? *avx2 : scalar_backend();
-  }
-  const KernelBackend* named = find(choice);
-  if (named == nullptr) {
-    throw ConfigError(
-        "ZKG_BACKEND=" + choice +
-        ": unknown or unsupported kernel backend on this CPU (valid: "
-        "scalar, avx2 on AVX2+FMA hardware, auto)");
-  }
-  return *named;
-}
-
 }  // namespace
 
 const KernelBackend& active() {
@@ -45,11 +29,30 @@ const KernelBackend& active() {
     const std::lock_guard lock(resolve_mutex);
     backend = g_active.load(std::memory_order_acquire);
     if (backend == nullptr) {
-      backend = &resolve_from_env();
+      backend = &resolve(env_or("ZKG_BACKEND", "auto"));
       g_active.store(backend, std::memory_order_release);
     }
   }
   return *backend;
+}
+
+const KernelBackend& resolve(const std::string& choice) {
+  if (choice == "auto") {
+    if (const KernelBackend* avx512 = avx512_backend_if_supported()) {
+      return *avx512;
+    }
+    const KernelBackend* avx2 = avx2_backend_if_supported();
+    return avx2 != nullptr ? *avx2 : scalar_backend();
+  }
+  const KernelBackend* named = find(choice);
+  if (named == nullptr) {
+    throw ConfigError(
+        "ZKG_BACKEND=" + choice +
+        ": unknown or unsupported kernel backend on this CPU (valid: "
+        "scalar, avx2 on AVX2+FMA hardware, avx512 on AVX-512F hardware, "
+        "auto)");
+  }
+  return *named;
 }
 
 const char* active_name() { return active().name; }
@@ -57,6 +60,7 @@ const char* active_name() { return active().name; }
 const KernelBackend* find(const std::string& name) {
   if (name == "scalar") return &scalar_backend();
   if (name == "avx2") return avx2_backend_if_supported();
+  if (name == "avx512") return avx512_backend_if_supported();
   return nullptr;
 }
 

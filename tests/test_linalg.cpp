@@ -1,7 +1,8 @@
 // Tests for the dense linear-algebra kernels, including parameterized
 // consistency sweeps of the fused-transpose GEMM variants against the
-// reference implementation, cross-backend (scalar vs AVX2) agreement, and
-// per-backend run-to-run bit identity.
+// reference implementation, cross-backend (scalar vs AVX2) agreement, the
+// AVX-512 tile's bit identity with the AVX2 tile, and per-backend
+// run-to-run bit identity.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -9,8 +10,10 @@
 #include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "nn/conv2d.hpp"
 #include "tensor/backend/backend.hpp"
 #include "tensor/linalg.hpp"
 #include "tensor/ops.hpp"
@@ -372,6 +375,127 @@ TEST(BackendSelection, FindAndScopeRoundTrip) {
     EXPECT_STREQ(backend::active_name(), "scalar");
   }
   EXPECT_EQ(backend::active_name(), before);  // scope restores
+}
+
+// The avx512 table is selected only on AVX-512F hardware, `auto` prefers
+// it to avx2 and avx2 to scalar, and a bad ZKG_BACKEND value names every
+// valid one.
+TEST(BackendSelection, Avx512NeedsAvx512fAndAutoPrefersIt) {
+  const backend::KernelBackend* avx512 = backend::avx512_backend_if_supported();
+  const backend::KernelBackend* avx2 = backend::avx2_backend_if_supported();
+  EXPECT_EQ(backend::find("avx512"), avx512);
+  EXPECT_EQ(avx512 != nullptr, backend::cpu_supports_avx512());
+  if (avx512 != nullptr) {
+    EXPECT_STREQ(avx512->name, "avx512");
+    EXPECT_NE(avx2, nullptr);  // AVX-512F hardware runs the AVX2 table too
+  }
+  const backend::KernelBackend* best =
+      avx512 != nullptr ? avx512
+                        : (avx2 != nullptr ? avx2 : &backend::scalar_backend());
+  EXPECT_EQ(&backend::resolve("auto"), best);
+  EXPECT_EQ(&backend::resolve("scalar"), &backend::scalar_backend());
+  if (avx2 != nullptr) {
+    EXPECT_EQ(&backend::resolve("avx2"), avx2);
+  }
+  try {
+    backend::resolve("bogus");
+    ADD_FAILURE() << "resolve(\"bogus\") did not throw";
+  } catch (const ConfigError& e) {
+    const std::string what = e.what();
+    for (const char* name : {"scalar", "avx2", "avx512", "auto"}) {
+      EXPECT_NE(what.find(name), std::string::npos) << name << ": " << what;
+    }
+  }
+}
+
+// Runs `body` under `table` and returns what it wrote.
+Tensor run_under(const backend::KernelBackend& table,
+                 const std::function<void(Tensor&)>& body) {
+  backend::BackendScope scope(table);
+  Tensor out;
+  body(out);
+  return out;
+}
+
+// The 8x16 and 6x16 tiles run every output element as the same FMA chain
+// over the depth in the same 256-deep blocks, so the avx512 table's GEMM
+// and conv results match the avx2 table's bit for bit. The GEMM shapes
+// straddle both tiles' row counts (7, 9, 97, 130), the 16 columns (15, 17)
+// and the depth blocks (255, 257, 784); the conv shapes are the
+// Conv2d.MatchesIm2ColReferenceBitwise layers.
+TEST(Avx512Tile, BitIdenticalToAvx2Tile) {
+  const backend::KernelBackend* avx512 = backend::avx512_backend_if_supported();
+  if (avx512 == nullptr) GTEST_SKIP() << "no AVX-512F on this CPU";
+  const backend::KernelBackend* avx2 = backend::avx2_backend_if_supported();
+  ASSERT_NE(avx2, nullptr);
+
+  for (const std::int64_t m : {1, 7, 9, 97, 130}) {
+    for (const std::int64_t n : {1, 15, 17, 64}) {
+      for (const std::int64_t k : {1, 255, 257, 784}) {
+        SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(k) + "x" +
+                     std::to_string(n));
+        Rng rng(static_cast<std::uint64_t>(m * 100000 + n * 1000 + k));
+        const Tensor a = randn({m, k}, rng);
+        const Tensor b = randn({k, n}, rng);
+        const Tensor a_t = randn({k, m}, rng);
+        const Tensor b_t = randn({n, k}, rng);
+        const std::vector<std::pair<const char*, std::function<void(Tensor&)>>>
+            gemms{
+                {"matmul", [&](Tensor& c) { matmul_into(c, a, b); }},
+                {"matmul_nt", [&](Tensor& c) { matmul_nt_into(c, a, b_t); }},
+                {"matmul_tn", [&](Tensor& c) { matmul_tn_into(c, a_t, b); }},
+            };
+        for (const auto& [name, gemm] : gemms) {
+          EXPECT_TRUE(testutil::same_bits(run_under(*avx512, gemm),
+                                          run_under(*avx2, gemm)))
+              << name;
+        }
+      }
+    }
+  }
+
+  struct ConvCase {
+    nn::Conv2dConfig cfg;
+    std::int64_t batch, height, width;
+  };
+  const std::vector<ConvCase> convs{
+      {{3, 16, 3, 1, 1}, 2, 32, 32},  {{16, 16, 3, 2, 1}, 2, 32, 32},
+      {{16, 32, 3, 1, 1}, 2, 16, 16}, {{32, 32, 3, 2, 1}, 3, 16, 16},
+      {{32, 10, 1, 1, 0}, 3, 8, 8},   {{96, 96, 3, 1, 1}, 2, 6, 6},
+      {{1, 8, 5, 2, 2}, 3, 28, 28},   {{8, 16, 5, 2, 2}, 2, 14, 14},
+      {{32, 64, 5, 1, 2}, 2, 7, 7},   {{4, 7, 3, 1, 1}, 1, 9, 11},
+      {{2, 300, 1, 1, 0}, 2, 5, 5},
+  };
+  for (const ConvCase& c : convs) {
+    SCOPED_TRACE("conv " + std::to_string(c.cfg.in_channels) + "->" +
+                 std::to_string(c.cfg.out_channels) + " k" +
+                 std::to_string(c.cfg.kernel));
+    Rng rng(43);
+    nn::Conv2d conv(c.cfg, rng);
+    conv.bias().value() = randn({c.cfg.out_channels}, rng);
+    const Tensor x =
+        randn({c.batch, c.cfg.in_channels, c.height, c.width}, rng);
+    Tensor y;
+    conv.forward_into(x, y, /*training=*/true);
+    const Tensor grad_y = randn(y.shape(), rng);
+    // The forward output, dX, dW and db under one table.
+    const auto passes = [&](const backend::KernelBackend& table) {
+      backend::BackendScope scope(table);
+      std::vector<Tensor> out(2);
+      conv.forward_into(x, out[0], /*training=*/true);
+      conv.zero_grad();
+      conv.backward_into(grad_y, out[1]);
+      out.push_back(conv.weight().grad());
+      out.push_back(conv.bias().grad());
+      return out;
+    };
+    const std::vector<Tensor> wide = passes(*avx512);
+    const std::vector<Tensor> narrow = passes(*avx2);
+    const char* names[] = {"forward", "dX", "dW", "db"};
+    for (std::size_t i = 0; i < wide.size(); ++i) {
+      EXPECT_TRUE(testutil::same_bits(wide[i], narrow[i])) << names[i];
+    }
+  }
 }
 
 }  // namespace

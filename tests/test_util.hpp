@@ -24,6 +24,10 @@ inline std::vector<const backend::KernelBackend*> available_backends() {
           backend::avx2_backend_if_supported()) {
     out.push_back(avx2);
   }
+  if (const backend::KernelBackend* avx512 =
+          backend::avx512_backend_if_supported()) {
+    out.push_back(avx512);
+  }
   return out;
 }
 
