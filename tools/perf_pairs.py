@@ -75,7 +75,8 @@ def compare(metrics, base_runs, change_runs):
         change = [r["metrics"][name]["value"] for r in change_runs]
         wins = sum(1 for b, c in zip(base, change)
                    if (c > b if higher else c < b))
-        base_med, change_med = statistics.median(base), statistics.median(change)
+        base_med = statistics.median(base)
+        change_med = statistics.median(change)
         rel = (change_med - base_med) / base_med if base_med else 0.0
         worse = -rel if higher else rel
         rows.append({
