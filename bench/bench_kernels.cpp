@@ -233,7 +233,7 @@ struct KernelCase {
 struct Measurement {
   double serial_ms = 0.0;    // scalar backend, SerialScope
   double parallel_ms = 0.0;  // scalar backend, parallel_for enabled
-  double simd_ms = -1.0;     // simd_backend(), parallel; -1 when unsupported
+  double simd_ms = -1.0;     // resolve("auto") when SIMD, parallel; else -1
 };
 
 double gflops(double flops, double ms) {
@@ -241,15 +241,6 @@ double gflops(double flops, double ms) {
 }
 double gbps(double bytes, double ms) {
   return ms > 0.0 ? bytes / (ms * 1e6) : 0.0;
-}
-
-/// The widest SIMD table this CPU runs (avx512, else avx2), or nullptr.
-const backend::KernelBackend* simd_backend() {
-  if (const backend::KernelBackend* avx512 =
-          backend::avx512_backend_if_supported()) {
-    return avx512;
-  }
-  return backend::avx2_backend_if_supported();
 }
 
 Measurement measure(const KernelCase& kc) {
@@ -265,8 +256,9 @@ Measurement measure(const KernelCase& kc) {
     backend::BackendScope scope(backend::scalar_backend());
     m.parallel_ms = best_of_ms(kReps, kc.body);
   }
-  if (const backend::KernelBackend* simd = simd_backend()) {
-    backend::BackendScope scope(*simd);
+  if (const backend::KernelBackend& best = backend::resolve("auto");
+      best.simd) {
+    backend::BackendScope scope(best);
     kc.body();  // warm the SIMD path's packing scratch
     m.simd_ms = best_of_ms(kReps, kc.body);
   }
@@ -274,13 +266,14 @@ Measurement measure(const KernelCase& kc) {
 }
 
 void report_kernel_performance() {
+  const backend::KernelBackend& best = backend::resolve("auto");
   std::printf(
       "kernel backends: active=%s (ZKG_BACKEND overrides), cpu avx2+fma=%s,"
       " avx512f=%s; simd column: %s\n"
       "parallel backend: %s, %u thread(s) (ZKG_THREADS overrides)\n\n",
       backend::active_name(), backend::cpu_supports_avx2() ? "yes" : "no",
       backend::cpu_supports_avx512() ? "yes" : "no",
-      simd_backend() != nullptr ? simd_backend()->name : "none",
+      best.simd ? best.name : "none",
       parallel_backend_name(), parallel_threads());
 
   Rng rng(42);
@@ -442,8 +435,8 @@ void report_kernel_performance() {
     doc["active_backend"] = std::string(backend::active_name());
     doc["cpu_supports_avx2"] = backend::cpu_supports_avx2();
     doc["cpu_supports_avx512"] = backend::cpu_supports_avx512();
-    if (const backend::KernelBackend* simd = simd_backend()) {
-      doc["simd_backend"] = std::string(simd->name);
+    if (best.simd) {
+      doc["simd_backend"] = std::string(best.name);
     }
     doc["parallel_backend"] = std::string(parallel_backend_name());
     doc["threads"] = static_cast<std::int64_t>(parallel_threads());

@@ -13,7 +13,6 @@
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "nn/conv2d.hpp"
 #include "tensor/backend/backend.hpp"
 #include "tensor/linalg.hpp"
 #include "tensor/ops.hpp"
@@ -419,10 +418,10 @@ Tensor run_under(const backend::KernelBackend& table,
 
 // The 8x16 and 6x16 tiles run every output element as the same FMA chain
 // over the depth in the same 256-deep blocks, so the avx512 table's GEMM
-// and conv results match the avx2 table's bit for bit. The GEMM shapes
-// straddle both tiles' row counts (7, 9, 97, 130), the 16 columns (15, 17)
-// and the depth blocks (255, 257, 784); the conv shapes are the
-// Conv2d.MatchesIm2ColReferenceBitwise layers.
+// results match the avx2 table's bit for bit. The shapes straddle both
+// tiles' row counts (7, 9, 97, 130), the 16 columns (15, 17) and the depth
+// blocks (255, 257, 784). Conv2d.MatchesIm2ColReferenceBitwise checks the
+// conv passes the same way.
 TEST(Avx512Tile, BitIdenticalToAvx2Tile) {
   const backend::KernelBackend* avx512 = backend::avx512_backend_if_supported();
   if (avx512 == nullptr) GTEST_SKIP() << "no AVX-512F on this CPU";
@@ -451,49 +450,6 @@ TEST(Avx512Tile, BitIdenticalToAvx2Tile) {
               << name;
         }
       }
-    }
-  }
-
-  struct ConvCase {
-    nn::Conv2dConfig cfg;
-    std::int64_t batch, height, width;
-  };
-  const std::vector<ConvCase> convs{
-      {{3, 16, 3, 1, 1}, 2, 32, 32},  {{16, 16, 3, 2, 1}, 2, 32, 32},
-      {{16, 32, 3, 1, 1}, 2, 16, 16}, {{32, 32, 3, 2, 1}, 3, 16, 16},
-      {{32, 10, 1, 1, 0}, 3, 8, 8},   {{96, 96, 3, 1, 1}, 2, 6, 6},
-      {{1, 8, 5, 2, 2}, 3, 28, 28},   {{8, 16, 5, 2, 2}, 2, 14, 14},
-      {{32, 64, 5, 1, 2}, 2, 7, 7},   {{4, 7, 3, 1, 1}, 1, 9, 11},
-      {{2, 300, 1, 1, 0}, 2, 5, 5},
-  };
-  for (const ConvCase& c : convs) {
-    SCOPED_TRACE("conv " + std::to_string(c.cfg.in_channels) + "->" +
-                 std::to_string(c.cfg.out_channels) + " k" +
-                 std::to_string(c.cfg.kernel));
-    Rng rng(43);
-    nn::Conv2d conv(c.cfg, rng);
-    conv.bias().value() = randn({c.cfg.out_channels}, rng);
-    const Tensor x =
-        randn({c.batch, c.cfg.in_channels, c.height, c.width}, rng);
-    Tensor y;
-    conv.forward_into(x, y, /*training=*/true);
-    const Tensor grad_y = randn(y.shape(), rng);
-    // The forward output, dX, dW and db under one table.
-    const auto passes = [&](const backend::KernelBackend& table) {
-      backend::BackendScope scope(table);
-      std::vector<Tensor> out(2);
-      conv.forward_into(x, out[0], /*training=*/true);
-      conv.zero_grad();
-      conv.backward_into(grad_y, out[1]);
-      out.push_back(conv.weight().grad());
-      out.push_back(conv.bias().grad());
-      return out;
-    };
-    const std::vector<Tensor> wide = passes(*avx512);
-    const std::vector<Tensor> narrow = passes(*avx2);
-    const char* names[] = {"forward", "dX", "dW", "db"};
-    for (std::size_t i = 0; i < wide.size(); ++i) {
-      EXPECT_TRUE(testutil::same_bits(wide[i], narrow[i])) << names[i];
     }
   }
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -157,7 +158,8 @@ Tensor relu_masked_grad(const Shape& shape, Rng& rng) {
 
 // The implicit-GEMM conv passes against the patch-matrix formulation they
 // replace (testutil::reference_conv_*), bit for bit under every backend:
-// forward, dX (with and without parameter gradients), dW and db.
+// forward, dX (with and without parameter gradients), dW and db. The avx512
+// table's 8x16 tile must also match the avx2 table's 6x16 tile bit for bit.
 TEST(Conv2d, MatchesIm2ColReferenceBitwise) {
   const std::vector<ConvBitwiseCase> cases{
       // The five bench-allCNN layers (synth-objects, 3x32x32).
@@ -178,6 +180,8 @@ TEST(Conv2d, MatchesIm2ColReferenceBitwise) {
       // OC = 300: dX's depth (OC) spans two blocks.
       {"wide 1x1", {2, 300, 1, 1, 0}, 2, 5, 5},
   };
+  // Forward, dX, dW and db of every case, per SIMD table.
+  std::map<std::string, std::vector<std::vector<Tensor>>> simd_passes;
   for (const backend::KernelBackend* kernels : testutil::available_backends()) {
     backend::BackendScope scope(*kernels);
     for (const ConvBitwiseCase& c : cases) {
@@ -209,6 +213,10 @@ TEST(Conv2d, MatchesIm2ColReferenceBitwise) {
       axpy_(db, 1.0f, ref.db);
       EXPECT_TRUE(same_bits(conv.weight().grad(), dw));
       EXPECT_TRUE(same_bits(conv.bias().grad(), db));
+      if (kernels->simd) {
+        simd_passes[kernels->name].push_back(
+            {y, grad_x, conv.weight().grad(), conv.bias().grad()});
+      }
 
       // Attack backwards skip dW/db but must give the same dX.
       conv.zero_grad();
@@ -231,6 +239,17 @@ TEST(Conv2d, MatchesIm2ColReferenceBitwise) {
       EXPECT_TRUE(same_bits(unread, Tensor({1}, 7.0f)));
       EXPECT_TRUE(same_bits(conv.weight().grad(), dw));
       EXPECT_TRUE(same_bits(conv.bias().grad(), db));
+    }
+  }
+  if (simd_passes.count("avx512") != 0) {
+    const auto& wide = simd_passes.at("avx512");
+    const auto& narrow = simd_passes.at("avx2");
+    const char* passes[] = {"forward", "dX", "dW", "db"};
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      for (std::size_t p = 0; p < 4; ++p) {
+        EXPECT_TRUE(same_bits(wide[i][p], narrow[i][p]))
+            << "avx512 vs avx2 " << cases[i].label << " " << passes[p];
+      }
     }
   }
 }

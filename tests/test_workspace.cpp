@@ -435,7 +435,8 @@ TEST(SteadyState, InferenceSessionPredictHasZeroPoolMissesAfterWarmup) {
 // A conv layer at the training batch (64) and the serving batch (1): once
 // both have been seen, alternating forward/backward passes at either size
 // take every buffer from the pool. The offset table is kept across batch
-// sizes, and the dW partials and packed weights are pooled per call.
+// sizes; dX's packed weights and the dW partials are pooled per call, and
+// the forward's packed weights are per-thread scratch.
 TEST(SteadyState, Conv2dHasZeroPoolMissesAfterWarmup) {
   Rng rng(37);
   nn::Conv2d conv({.in_channels = 16, .out_channels = 32, .kernel = 3,

@@ -6,10 +6,10 @@ compares their end-to-end metrics.
         --workload <name> --pairs <n> --seconds <s>
 
 Each tree is a checkout of this repository; the tool calls that tree's own
-perfbench/run.py (which builds the tree into its .bench_build/) with seeds
-seed0, seed0 + 1, ... Pair i runs the base first when i is even and the
-change first when i is odd, so drift in the machine's load hits both sides
-alike. For every end-to-end metric of the change tree's BENCHMARK.json it
+perfbench/run.py (which builds the tree into its .bench_build/). Pair i
+runs both sides with seed i (1, 2, ...), the base first when i is odd and
+the change first when i is even, so drift in the machine's load hits both
+sides alike. For every end-to-end metric of the change tree's BENCHMARK.json it
 prints each side's median and quartiles, how many pairs the change won, and
 BREACH where the change's median is worse than the base's by more than the
 metric's bound. It exits non-zero when a run fails, reads incorrect or
@@ -98,7 +98,6 @@ def main():
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
-    parser.add_argument("--seed0", type=int, default=1)
     parser.add_argument("--base-label", default="")
     parser.add_argument("--change-label", default="")
     args = parser.parse_args()
@@ -107,15 +106,14 @@ def main():
         metrics = json.load(f)["end_to_end"]
     sides = {"base": args.base, "change": args.change}
     runs = {"base": [], "change": []}
-    for i in range(args.pairs):
-        seed = args.seed0 + i
-        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+    for seed in range(1, args.pairs + 1):
+        order = ("base", "change") if seed % 2 else ("change", "base")
         for side in order:
             result = run_once(sides[side], args.workload, seed, args.seconds)
             result["seed"] = seed
             runs[side].append(result)
-        print("pair %d (seed %d): %s" % (
-            i + 1, seed, "  ".join(
+        print("pair %d: %s" % (
+            seed, "  ".join(
                 "%s %.1f" % (side,
                              runs[side][-1]["metrics"]["throughput_per_s"]
                              ["value"]) for side in ("base", "change"))),
@@ -142,8 +140,8 @@ def main():
               "change": tree_label(args.change, args.change_label)}
     record = {
         "workload": args.workload, "seconds": args.seconds,
-        "pairs": args.pairs, "seed0": args.seed0,
-        "base_first_on_even_pairs": True,
+        "pairs": args.pairs,
+        "base_first_on_odd_seeds": True,
         "summary": rows,
     }
     for side in ("base", "change"):
