@@ -73,7 +73,7 @@ int main() {
             << undefended.attack("FGSM").test_accuracy * 100 << "%        "
             << defended.attack("FGSM").test_accuracy * 100 << "%\n"
             << "(zero-knowledge training buys robustness the undefended "
-               "model has none of;\n see bench_table3_* for the full paper "
-               "comparison)\n";
+               "model has none of;\n see `paper table3-digits` for the full "
+               "paper comparison)\n";
   return 0;
 }

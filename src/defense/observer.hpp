@@ -51,8 +51,8 @@ class CheckedMathObserver : public TrainObserver {
 
 /// Writes one JSON object per line to `out`: a train_begin record, one
 /// epoch record per epoch, and a train_end summary. This is the structured
-/// BENCH-record source of truth used by bench_fig5_training_time and
-/// friends; the schema is documented in DESIGN.md §9.
+/// BENCH-record source of truth used by `paper fig5-time` and friends; the
+/// schema is documented in DESIGN.md §9.
 class JsonlTrainObserver : public TrainObserver {
  public:
   /// `out` must outlive the observer.

@@ -17,13 +17,6 @@ const std::vector<DefenseId>& all_defenses() {
   return ids;
 }
 
-const std::vector<DefenseId>& zero_knowledge_defenses() {
-  static const std::vector<DefenseId> ids = {
-      DefenseId::kVanilla, DefenseId::kClp, DefenseId::kCls,
-      DefenseId::kZkGanDef};
-  return ids;
-}
-
 const std::vector<DefenseId>& full_knowledge_defenses() {
   static const std::vector<DefenseId> ids = {
       DefenseId::kFgsmAdv, DefenseId::kPgdAdv, DefenseId::kPgdGanDef};

@@ -21,9 +21,6 @@ enum class DefenseId {
 /// All seven defenses, in the paper's Table III row order.
 const std::vector<DefenseId>& all_defenses();
 
-/// The zero-knowledge subset {CLP, CLS, ZK-GanDef} plus Vanilla.
-const std::vector<DefenseId>& zero_knowledge_defenses();
-
 /// The full-knowledge subset {FGSM-Adv, PGD-Adv, PGD-GanDef}.
 const std::vector<DefenseId>& full_knowledge_defenses();
 

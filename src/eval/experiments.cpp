@@ -240,16 +240,19 @@ std::vector<SweepCell> defense_cells(
   return cells;
 }
 
-/// One serial ZK-GanDef cell per value of `knob`, evaluated with the Table
-/// III suite.
+/// One serial ZK-GanDef cell per value of `knob`, trained for `epochs` and
+/// evaluated with the Table III suite.
 std::vector<AblationPoint> run_zk_ablation(data::DatasetId id,
                                            const std::vector<float>& values,
                                            std::uint64_t seed,
+                                           std::int64_t epochs,
                                            float ExperimentScale::*knob) {
   std::vector<SweepCell> cells;
   for (const float value : values) {
-    cells.emplace_back(defense::DefenseId::kZkGanDef, id, seed);
-    cells.back().scale.*knob = value;
+    SweepCell& cell =
+        cells.emplace_back(defense::DefenseId::kZkGanDef, id, seed);
+    cell.scale.epochs = epochs;
+    cell.scale.*knob = value;
   }
   SweepOptions options;
   options.jobs = 1;
@@ -365,14 +368,16 @@ std::vector<LossCurve> run_cls_convergence(data::DatasetId id,
 
 std::vector<AblationPoint> run_gamma_ablation(data::DatasetId id,
                                               const std::vector<float>& gammas,
-                                              std::uint64_t seed) {
-  return run_zk_ablation(id, gammas, seed, &ExperimentScale::gamma);
+                                              std::uint64_t seed,
+                                              std::int64_t epochs) {
+  return run_zk_ablation(id, gammas, seed, epochs, &ExperimentScale::gamma);
 }
 
 std::vector<AblationPoint> run_sigma_ablation(data::DatasetId id,
                                               const std::vector<float>& sigmas,
-                                              std::uint64_t seed) {
-  return run_zk_ablation(id, sigmas, seed, &ExperimentScale::sigma);
+                                              std::uint64_t seed,
+                                              std::int64_t epochs) {
+  return run_zk_ablation(id, sigmas, seed, epochs, &ExperimentScale::sigma);
 }
 
 }  // namespace zkg::eval

@@ -162,15 +162,18 @@ struct AblationPoint {
 };
 
 /// Sweeps ZK-GanDef's gamma (gamma = 0 reduces to Gaussian-augmentation
-/// training, §III-D): one serial run_sweep cell per value, evaluated with
-/// the Table III suite, of which the points keep Original and PGD.
+/// training, §III-D): one serial run_sweep cell per value, trained for
+/// `epochs` and evaluated with the Table III suite, of which the points keep
+/// Original and PGD.
 std::vector<AblationPoint> run_gamma_ablation(data::DatasetId id,
                                               const std::vector<float>& gammas,
-                                              std::uint64_t seed);
+                                              std::uint64_t seed,
+                                              std::int64_t epochs);
 
 /// Sweeps the augmentation sigma, as run_gamma_ablation sweeps gamma.
 std::vector<AblationPoint> run_sigma_ablation(data::DatasetId id,
                                               const std::vector<float>& sigmas,
-                                              std::uint64_t seed);
+                                              std::uint64_t seed,
+                                              std::int64_t epochs);
 
 }  // namespace zkg::eval

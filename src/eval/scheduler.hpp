@@ -66,9 +66,8 @@ struct SweepOptions {
   std::string checkpoint_root;  // per-job dirs under here; "" disables
   bool resume = true;           // pick up an existing per-job checkpoint
   /// Non-owning; attached to every cell's trainer. Its callbacks run on
-  /// each job's thread, so with
-  /// jobs != 1 it must tolerate concurrent calls (bench_fig5_training_time
-  /// attaches its JSONL recorder only at jobs == 1).
+  /// each job's thread, so with jobs != 1 it must tolerate concurrent calls
+  /// (`paper fig5-time` attaches its JSONL recorder only at jobs == 1).
   defense::TrainObserver* observer = nullptr;
 };
 

@@ -434,11 +434,13 @@ TEST_F(SweepTest, CellNamesAreUniqueAndDuplicatesAreRejected) {
 }
 
 // Concurrency must not change results: a 4-job sweep trains the exact
-// weights of the serial sweep, cell by cell.
+// weights of the serial sweep, cell by cell, for every kind of trainer
+// (plain, noise-augmented, GAN game on noise, on FGSM and on PGD examples).
 TEST_F(SweepTest, ConcurrentSweepMatchesSerialBitwise) {
   const std::vector<eval::SweepCell> cells = one_epoch_cells(
       {defense::DefenseId::kVanilla, defense::DefenseId::kCls,
-       defense::DefenseId::kZkGanDef, defense::DefenseId::kFgsmAdv});
+       defense::DefenseId::kZkGanDef, defense::DefenseId::kFgsmAdv,
+       defense::DefenseId::kPgdGanDef});
 
   eval::SweepOptions serial_opts;
   serial_opts.jobs = 1;
@@ -667,19 +669,21 @@ TEST_F(SweepTest, ClsConvergenceMatchesADirectFit) {
   }
 }
 
+// The epochs argument, not ZKG_EPOCHS, sets the ablation's training length.
 TEST_F(SweepTest, GammaAblationMatchesADirectFit) {
   setenv("ZKG_TRAIN", "96", 1);
-  setenv("ZKG_EPOCHS", "1", 1);
+  setenv("ZKG_EPOCHS", "3", 1);
   const std::uint64_t seed = 20190417;
   const data::DatasetId id = data::DatasetId::kDigits;
   const std::vector<float> gammas = {0.0f, 0.5f};
   const std::vector<eval::AblationPoint> points =
-      eval::run_gamma_ablation(id, gammas, seed);
+      eval::run_gamma_ablation(id, gammas, seed, /*epochs=*/1);
   // Accuracies this small are coarse; the perturbation PGD found also pins
   // its random start, so compare it for the last gamma through the same
   // Table III suite the ablation runs.
   eval::SweepCell last(defense::DefenseId::kZkGanDef, id, seed);
   last.scale.gamma = gammas.back();
+  last.scale.epochs = 1;
   const std::vector<eval::SweepRun> runs = eval::run_sweep({last}, {});
   ASSERT_TRUE(runs[0].ok) << runs[0].error;
   const eval::PerturbationStats swept = runs[0].eval.attack("PGD").perturbation;
@@ -693,6 +697,7 @@ TEST_F(SweepTest, GammaAblationMatchesADirectFit) {
     Rng model_rng(seed ^ 0x6d0de1ULL);
     models::Classifier model = eval::build_model_for(id, scale, model_rng);
     defense::TrainConfig config = eval::base_train_config(scale, seed);
+    config.epochs = 1;
     config.gamma = gammas[i];
     defense::ZkGanDefTrainer trainer(model, config);
     trainer.fit(data.train);
