@@ -7,9 +7,8 @@
 // ZKG_TRAIN / ZKG_TEST / ZKG_EPOCHS for scaling and ZKG_SEED for the seed.
 // ZKG_JOBS=<n> trains the Table III/IV and Figure 5 (left/middle) cells as
 // n concurrent jobs (bit-identical rows at any n — see eval/scheduler.hpp);
-// 1, the default, keeps the serial loop. Concurrent cells refuse
-// ZKG_CKPT_DIR, which would point them all at one directory. Figure 5
-// (right) and the ablations run their cells serially.
+// 1, the default, keeps the serial loop. Figure 5 (right) and the
+// ablations run their cells serially. No experiment writes checkpoints.
 #include <cstdint>
 #include <exception>
 #include <fstream>

@@ -1,6 +1,8 @@
 // Robust inference service: the deployment story, end to end. Trains a
 // defended model fault-tolerantly (crash-safe train checkpoints, graceful
-// Ctrl-C, NaN rollback — DESIGN.md §11), loads the trained weights from the
+// Ctrl-C, NaN rollback — DESIGN.md §11; all three are set in the
+// TrainConfig below, and main() installs the signal handlers itself, so an
+// interrupted run resumes when rerun), loads the trained weights from the
 // run's final .zkgc snapshot into a fresh "serving" model, and stands up an
 // InferenceServer (DESIGN.md §14): concurrent clients submit single
 // images, the micro-batching engine folds them into pooled batched
@@ -40,8 +42,9 @@ int main() {
   // Every epoch a crash-safe .zkgc snapshot lands in train_ckpt_dir; a
   // SIGINT/SIGTERM stops at the next batch boundary with a final snapshot;
   // a previous interrupted run resumes from its newest snapshot,
-  // bit-identical to never having stopped. A non-finite loss rolls back to
-  // the last good batch instead of aborting 18 epochs of work.
+  // bit-identical to never having stopped. A non-finite loss or parameter
+  // rolls back to the last good batch instead of aborting 18 epochs of
+  // work (max_retries > 0 turns on the per-batch NaN check in every build).
   ckpt::install_signal_handlers();
   defense::TrainConfig config;
   config.epochs = 18;
@@ -65,9 +68,8 @@ int main() {
     return 0;
   }
   // fit() ends with a final snapshot, so the newest one holds the trained
-  // weights (the trainer's config carries any ZKG_CKPT_DIR override).
-  const std::string checkpoint =
-      ckpt::latest_checkpoint(trainer.config().checkpoint.dir);
+  // weights.
+  const std::string checkpoint = ckpt::latest_checkpoint(train_ckpt_dir);
   std::cout << "serving weights from " << checkpoint << "\n";
 
   // ---- Serving side: fresh model object, weights restored from disk ----

@@ -23,8 +23,8 @@
 # `ZKG_THREADS=8 ./run_benches.sh`.
 # Every paper experiment trains through eval::run_sweep. ZKG_JOBS=<n>
 # runs the Table III/IV and Figure 5 (left/middle) cells as n concurrent
-# training jobs (bit-identical rows; a sweep refuses ZKG_CKPT_DIR when
-# n != 1). Figure 5 (right) and the ablations run their cells serially.
+# training jobs (bit-identical rows). Figure 5 (right) and the ablations
+# run their cells serially.
 #
 # Kernel backend: ZKG_BACKEND=scalar|avx2|avx512|auto selects the compute
 # backend (DESIGN.md §13); default auto picks AVX-512, then AVX2, when the

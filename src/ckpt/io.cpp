@@ -4,9 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
-#include <csignal>
 #include <cstring>
 #include <filesystem>
 #include <iomanip>
@@ -15,7 +13,6 @@
 #include <fstream>
 
 #include "ckpt/train_state.hpp"
-#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
 #include "common/logging.hpp"
@@ -65,16 +62,6 @@ void write_all(int fd, const char* data, std::size_t size,
   }
 }
 
-// Test-only crash injection (see io.hpp). Counts atomic writes process-wide
-// and SIGKILLs mid-payload on the configured ordinal.
-bool crash_scheduled_for_this_write() {
-  static const std::int64_t crash_at =
-      env_or_int("ZKG_CKPT_TEST_CRASH_WRITE", 0);
-  if (crash_at <= 0) return false;
-  static std::atomic<std::int64_t> write_ordinal{0};
-  return write_ordinal.fetch_add(1) + 1 == crash_at;
-}
-
 void fsync_path(const std::string& path, int flags) {
   Fd fd(::open(path.c_str(), flags));
   if (fd.get() < 0) io_fail("cannot open for fsync", path);
@@ -82,15 +69,6 @@ void fsync_path(const std::string& path, int flags) {
 }
 
 }  // namespace
-
-CheckpointConfig checkpoint_config_from_env(CheckpointConfig base) {
-  base.dir = env_or("ZKG_CKPT_DIR", base.dir);
-  base.every_batches = env_or_int("ZKG_CKPT_EVERY_BATCHES",
-                                  base.every_batches);
-  base.every_epochs = env_or_int("ZKG_CKPT_EVERY_EPOCHS", base.every_epochs);
-  base.keep_last = env_or_int("ZKG_CKPT_KEEP", base.keep_last);
-  return base;
-}
 
 void atomic_write_file(const std::string& path, const std::string& payload) {
   const fs::path target(path);
@@ -108,14 +86,6 @@ void atomic_write_file(const std::string& path, const std::string& payload) {
     Fd fd(::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644));
     if (fd.get() < 0) io_fail("cannot create", tmp);
     ZKG_FAILPOINT("ckpt.write");
-    if (crash_scheduled_for_this_write()) {
-      // Fault injection: die by SIGKILL with a half-written tmp file, the
-      // worst instant for a non-atomic writer. The published checkpoint
-      // set must be unaffected.
-      write_all(fd.get(), payload.data(), payload.size() / 2, tmp);
-      ::fsync(fd.get());
-      ::raise(SIGKILL);
-    }
     write_all(fd.get(), payload.data(), payload.size(), tmp);
     // Data must be durable BEFORE the rename publishes the name; otherwise
     // a crash could leave a fully-named, partially-persisted checkpoint.

@@ -26,20 +26,9 @@ struct CheckpointConfig {
   std::int64_t keep_last = 3;       // rotation depth (>= 1)
 };
 
-/// Overlays the ZKG_CKPT_* environment flags onto `base`: ZKG_CKPT_DIR,
-/// ZKG_CKPT_EVERY_BATCHES, ZKG_CKPT_EVERY_EPOCHS, ZKG_CKPT_KEEP. Unset
-/// variables leave the corresponding field untouched, so programmatic
-/// config and env control compose.
-CheckpointConfig checkpoint_config_from_env(CheckpointConfig base = {});
-
 /// Writes `payload` to `path` crash-safely: tmp file + fsync + atomic
 /// rename + directory fsync. Creates missing parent directories. Throws
 /// zkg::SerializationError on any IO failure.
-///
-/// Test-only fault injection: when ZKG_CKPT_TEST_CRASH_WRITE=<n> is set,
-/// the n-th atomic write of the process raises SIGKILL after writing half
-/// the payload to the tmp file — the fault-injection harness uses this to
-/// prove a mid-checkpoint crash cannot corrupt the published files.
 ///
 /// Failpoint sites (DESIGN.md §16): ckpt.write (before the payload lands in
 /// the tmp file), ckpt.fsync (before the tmp fsync), ckpt.rename (before

@@ -8,16 +8,15 @@
 // aborts from a signal.
 //
 // The flag is process-wide on purpose: one Ctrl-C stops every trainer in
-// the process (e.g. a multi-defense shootout), each finishing its current
+// the process (e.g. a concurrent run_sweep), each finishing its current
 // batch first. Call clear_stop() to run another training job afterwards.
 #pragma once
 
 namespace zkg::ckpt {
 
 /// Installs the SIGINT/SIGTERM handlers that set the stop flag. Idempotent;
-/// call it once near the top of main(). Never installed implicitly by the
-/// library, except when ZKG_CKPT_HANDLE_SIGNALS=1 is set, in which case
-/// Trainer::fit() installs them on first use.
+/// call it once near the top of main(). The library never installs them
+/// itself: a binary that wants Ctrl-C to checkpoint and stop calls this.
 void install_signal_handlers();
 
 /// True once a stop has been requested (signal or request_stop()).

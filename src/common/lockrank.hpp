@@ -13,7 +13,7 @@
 // Rank order = allowed acquisition order (outermost first). The assignments
 // below encode the nesting the codebase actually performs:
 //
-//   kServeQueue    InferenceServer queue/EWMA; ZKG_COUNT under the lock
+//   kServeQueue    InferenceServer queue/stats; ZKG_COUNT under the lock
 //                  reaches the telemetry registry (kServeQueue < kTelemetry).
 //   kPrefetchSlot  PrefetchBatcher handoff slot; the data.prefetch_wait span
 //                  closes under the lock and records into telemetry.

@@ -42,7 +42,8 @@ class TelemetryObserver : public TrainObserver {
 /// finite and re-checks every model parameter, throwing zkg::NonFiniteError
 /// naming the trainer, epoch/batch and the first offending parameter.
 /// Compiled in every build — attach one wherever NaN debugging is needed —
-/// and installed on every Trainer automatically in ZKG_CHECKED builds.
+/// and installed automatically on every Trainer in ZKG_CHECKED builds and
+/// on any Trainer whose rollback.max_retries > 0.
 class CheckedMathObserver : public TrainObserver {
  public:
   void on_batch_end(const Trainer& trainer, std::int64_t epoch,

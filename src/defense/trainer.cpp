@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "ckpt/signal.hpp"
-#include "common/env.hpp"
 #include "common/stopwatch.hpp"
 #include "data/prefetch_batcher.hpp"
 #include "defense/checkpointing.hpp"
@@ -101,9 +100,6 @@ bool TrainResult::converged() const {
 
 Trainer::Trainer(models::Classifier& model, TrainConfig config)
     : model_(model), config_(config), rng_(config.seed) {
-  // Per-process overrides (ZKG_CKPT_*) land before validation so a bad env
-  // value fails as loudly as a bad config field.
-  config_.checkpoint = ckpt::checkpoint_config_from_env(config_.checkpoint);
   config_.validate();
   optimizer_ = std::make_unique<optim::Adam>(
       model_.parameters(), optim::AdamConfig{.learning_rate =
@@ -111,9 +107,11 @@ Trainer::Trainer(models::Classifier& model, TrainConfig config)
   add_optimizer(*optimizer_);
   add_rng("trainer", rng_);
   add_rngs("model.rng.", model_);
-  if (ZKG_CHECKED_ENABLED) {
-    // Checked builds tripwire every training run: losses and parameters
-    // are verified finite after each batch. clear_observers() opts out.
+  if (ZKG_CHECKED_ENABLED || config_.rollback.max_retries > 0) {
+    // Checked builds tripwire every training run, and a rollback policy
+    // needs a NonFiniteError to act on in every build: losses and
+    // parameters are verified finite after each batch. clear_observers()
+    // opts out.
     checked_shim_ = std::make_unique<CheckedMathObserver>();
     observers_.push_back(checked_shim_.get());
   }
@@ -349,9 +347,6 @@ EpochStats Trainer::fit_epoch(data::BatchSource& source,
 
 TrainResult Trainer::fit(const data::Dataset& train) {
   ZKG_SPAN("train.fit");
-  if (env_or_int("ZKG_CKPT_HANDLE_SIGNALS", 0) != 0) {
-    ckpt::install_signal_handlers();
-  }
   // The prefetcher forks rng_ exactly once, as a synchronous Batcher would,
   // so fit() trains bit-identically to a fit_epoch loop over a Batcher
   // (DESIGN.md §12; tests/test_pipeline.cpp).

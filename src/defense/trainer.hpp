@@ -39,7 +39,9 @@ class Trainer;
 
 /// NaN-recovery policy (DESIGN.md §11). Disabled by default: a
 /// NonFiniteError propagates out of fit() exactly as before. With
-/// max_retries > 0 the trainer restores the last-good in-memory snapshot
+/// max_retries > 0 the trainer checks each batch's losses and parameters
+/// for NaN/Inf in every build (a CheckedMathObserver), and on a
+/// NonFiniteError restores the last-good in-memory snapshot
 /// (parameters, optimizer moments, RNG streams, loss accumulators — but
 /// never the recovery counters, which would refill the budget), optionally
 /// scales the learning rate down, and either skips the offending batch or
@@ -78,8 +80,8 @@ struct TrainConfig {
 
   /// Auto-checkpointing: a non-empty `checkpoint.dir` installs an owned
   /// CheckpointObserver writing crash-safe ZKGC snapshots on the configured
-  /// cadence. Overridable per-process via ZKG_CKPT_DIR / _EVERY_BATCHES /
-  /// _EVERY_EPOCHS / _KEEP (applied in the Trainer constructor).
+  /// cadence. This field is the only checkpoint setting: the trainer
+  /// reads no environment variable for it.
   ckpt::CheckpointConfig checkpoint;
 
   /// Resume source: a .zkgc file, or a checkpoint directory whose newest
@@ -260,7 +262,7 @@ class Trainer {
   void apply_state(const ckpt::TrainState& state, bool include_counters,
                    bool include_batcher);
   /// One batch with the rollback policy wrapped around train_batch AND the
-  /// observer fan-out (checked builds surface NaNs from on_batch_end).
+  /// observer fan-out (the checked shim surfaces NaNs from on_batch_end).
   void run_batch(const data::Batch& batch);
 
   std::vector<std::pair<std::string, Rng*>> rngs_;
@@ -268,8 +270,9 @@ class Trainer {
   std::vector<std::pair<std::string, nn::Sequential*>> networks_;
 
   std::vector<TrainObserver*> observers_;
-  // ZKG_CHECKED builds install a CheckedMathObserver here so every run is
-  // NaN-tripwired without call sites opting in; null in release builds.
+  // A CheckedMathObserver installed in ZKG_CHECKED builds and whenever
+  // rollback.max_retries > 0, so every such run is NaN-tripwired without
+  // call sites opting in; null otherwise.
   std::unique_ptr<TrainObserver> checked_shim_;
   // Owned auto-checkpointing observer (config.checkpoint.dir non-empty).
   std::unique_ptr<TrainObserver> ckpt_shim_;

@@ -20,24 +20,6 @@ Evaluator::Evaluator(std::int64_t batch_size) : batch_size_(batch_size) {
   ZKG_CHECK(batch_size > 0) << " Evaluator batch_size " << batch_size;
 }
 
-double Evaluator::clean_accuracy(models::Classifier& model,
-                                 const data::Dataset& test) const {
-  test.validate();
-  models::InferenceSession session(model);
-  std::vector<std::int64_t> predictions;
-  predictions.reserve(static_cast<std::size_t>(test.size()));
-  for (std::int64_t begin = 0; begin < test.size(); begin += batch_size_) {
-    ZKG_SPAN("eval.batch");
-    ZKG_COUNT("eval.batches", 1);
-    const std::int64_t end = std::min(begin + batch_size_, test.size());
-    const std::vector<std::int64_t>& batch_pred =
-        session.predict(test.images.slice_rows(begin, end));
-    predictions.insert(predictions.end(), batch_pred.begin(),
-                       batch_pred.end());
-  }
-  return accuracy(predictions, test.labels);
-}
-
 Evaluation Evaluator::evaluate(
     models::Classifier& model, const data::Dataset& test,
     const std::vector<attacks::Attack*>& attack_list) const {

@@ -32,12 +32,9 @@ class Evaluator {
   /// generation.
   explicit Evaluator(std::int64_t batch_size = 100);
 
-  /// Clean test accuracy only.
-  double clean_accuracy(models::Classifier& model,
-                        const data::Dataset& test) const;
-
-  /// Clean accuracy plus one entry per attack. Attacks see the true labels
-  /// (white-box, untargeted).
+  /// Clean accuracy plus one entry per attack (an empty list measures
+  /// clean accuracy only). Attacks see the true labels (white-box,
+  /// untargeted).
   Evaluation evaluate(models::Classifier& model, const data::Dataset& test,
                       const std::vector<attacks::Attack*>& attack_list) const;
 

@@ -14,7 +14,6 @@
 #include "attacks/fgsm.hpp"
 #include "attacks/pgd.hpp"
 #include "ckpt/io.hpp"
-#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "common/stopwatch.hpp"
@@ -144,16 +143,6 @@ void run_cell(const SweepCell& cell, const PreparedData& data,
 
 std::vector<SweepRun> run_sweep(const std::vector<SweepCell>& cells,
                                 const SweepOptions& options) {
-  // ZKG_CKPT_DIR replaces every trainer's checkpoint directory with the
-  // same one, where concurrent cells would overwrite and rotate away each
-  // other's snapshots.
-  if (options.jobs != 1 && cells.size() > 1 &&
-      !env_or("ZKG_CKPT_DIR", "").empty()) {
-    throw ConfigError(
-        "run_sweep: ZKG_CKPT_DIR points every concurrent job at one "
-        "checkpoint directory; unset it and use SweepOptions::checkpoint_root, "
-        "or run with jobs = 1");
-  }
   std::vector<SweepRun> runs;
   runs.reserve(cells.size());
   std::set<std::string> names;

@@ -16,9 +16,8 @@
 //  * Checkpointing: each job writes crash-safe snapshots into its own
 //    directory (<checkpoint_root>/<cell-name>) and, when `resume` is set,
 //    picks its newest loadable snapshot back up — an interrupted sweep
-//    restarts where every job left off. The process-wide ZKG_CKPT_DIR
-//    override would collapse those directories into one, so run_sweep
-//    rejects it whenever cells may run concurrently.
+//    restarts where every job left off. SweepOptions::checkpoint_root is
+//    the only way to turn a sweep's checkpointing on.
 //  * Shared state: the BufferPool and the kernel-level parallel_for layer
 //    are thread-safe, and recycled buffers never influence results (the
 //    PR 2 dirty-buffer invariant), so jobs share them freely.
@@ -94,8 +93,7 @@ std::string sweep_cell_name(const SweepCell& cell);
 /// Datasets are prepared once per distinct (dataset, seed, train_samples,
 /// test_samples) — exactly the tensors a serial run would prepare — and
 /// shared read-only across jobs. Throws zkg::ConfigError when two cells
-/// share a name, or when ZKG_CKPT_DIR is set and more than one cell may run
-/// concurrently.
+/// share a name.
 std::vector<SweepRun> run_sweep(const std::vector<SweepCell>& cells,
                                 const SweepOptions& options = {});
 

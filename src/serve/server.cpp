@@ -23,9 +23,6 @@ void ServeConfig::validate() const {
     fail("max_delay_s must be finite and >= 0");
   }
   if (max_queue < 1) fail("max_queue must be >= 1");
-  if (!std::isfinite(max_wait_s) || max_wait_s < 0.0) {
-    fail("max_wait_s must be finite and >= 0");
-  }
   if (!std::isfinite(watchdog_s) || watchdog_s < 0.0) {
     fail("watchdog_s must be finite and >= 0");
   }
@@ -137,22 +134,6 @@ RequestHandle InferenceServer::submit(const Tensor& image,
         ZKG_COUNT("serve.shed_low", 1);
       }
       queue_.erase(victim);
-    }
-    if (config_.max_wait_s > 0.0 && ewma_batch_s_ > 0.0) {
-      // Batches ahead of this request, each costing one smoothed batch time.
-      const auto queued = static_cast<std::int64_t>(queue_.size());
-      const double batches_ahead =
-          static_cast<double>(queued / config_.max_batch + 1);
-      const double estimate = batches_ahead * ewma_batch_s_;
-      if (estimate > config_.max_wait_s) {
-        ++rejected_;
-        ZKG_COUNT("serve.rejected", 1);
-        std::ostringstream what;
-        what << "serve: overloaded — estimated wait "
-             << estimate * 1e3 << " ms exceeds budget "
-             << config_.max_wait_s * 1e3 << " ms at depth " << queued;
-        throw Overloaded(what.str(), queued);
-      }
     }
     request.enqueue_s = epoch_.seconds();
     if (options.deadline_s > 0.0) {
@@ -376,8 +357,7 @@ void InferenceServer::run_batch(std::vector<Request>& taken, FlushKind kind) {
   }
 
   // Book-keeping BEFORE the scatter: a caller that has just observed a
-  // completed future must see the EWMA this batch contributed, so the
-  // estimated-wait admission check is never one batch stale.
+  // completed future must find this batch already counted in stats().
   const double batch_seconds = batch_watch.seconds();
   {
     std::lock_guard lock(mutex_);
@@ -389,9 +369,6 @@ void InferenceServer::run_batch(std::vector<Request>& taken, FlushKind kind) {
       case FlushKind::kDeadline: ++deadline_flushes_; break;
       case FlushKind::kDrain: ++drain_flushes_; break;
     }
-    ewma_batch_s_ = ewma_batch_s_ == 0.0
-                        ? batch_seconds
-                        : 0.8 * ewma_batch_s_ + 0.2 * batch_seconds;
   }
   batch_forward_.record(batch_seconds);
   ZKG_HISTO("serve.batch_seconds", batch_seconds);

@@ -21,8 +21,7 @@
 // batch-1 serving (see bench/bench_serve.cpp).
 //
 // Admission control: the pending queue is bounded. A submit that finds
-// config.max_queue requests already waiting — or, with max_wait_s set, an
-// estimated queueing delay beyond that budget — throws the typed
+// config.max_queue requests already waiting throws the typed
 // serve::Overloaded instead of queueing unboundedly. Two priority levels
 // refine the policy: when the queue is full, a NORMAL submission evicts
 // the newest queued LOW request (its future fails with Overloaded) before
@@ -91,9 +90,6 @@ struct ServeConfig {
   double max_delay_s = 0.002;
   /// Admission bound: reject when this many requests are already queued.
   std::int64_t max_queue = 1024;
-  /// Estimated-wait budget in seconds; 0 disables the estimate check and
-  /// leaves depth-only admission.
-  double max_wait_s = 0.0;
   /// Batch-forward watchdog budget in seconds; 0 disables the watchdog.
   /// A batch whose forward exceeds it has its futures failed with
   /// WatchdogTimeout while the engine keeps running.
@@ -332,7 +328,6 @@ class InferenceServer {
   bool stopping_ = false;
   bool paused_ = false;
   bool engine_done_ = false;
-  double ewma_batch_s_ = 0.0;  // smoothed batch time for wait estimates
   std::uint64_t next_id_ = 1;
 
   // In-flight batch bookkeeping for the watchdog (guarded by mutex_): the

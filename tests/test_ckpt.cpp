@@ -983,6 +983,37 @@ bool all_params_finite(models::Classifier& model) {
   return true;
 }
 
+// A rollback policy must act in every build, not only where ZKG_CHECKED
+// tripwires raise NonFiniteError: this trainer reports one NaN loss and
+// throws nothing itself.
+TEST(NanRollback, NanLossRollsBackWithoutCheckedBuild) {
+  class NanLossOnce : public VanillaTrainer {
+   public:
+    NanLossOnce(models::Classifier& m, TrainConfig c) : VanillaTrainer(m, c) {}
+
+   protected:
+    BatchStats train_batch(const data::Batch& batch) override {
+      BatchStats stats = VanillaTrainer::train_batch(batch);
+      if (++calls_ == 2) {
+        stats.classifier_loss = std::numeric_limits<float>::quiet_NaN();
+      }
+      return stats;
+    }
+
+   private:
+    std::int64_t calls_ = 0;
+  };
+  TrainConfig config = quick_config(1);
+  config.rollback.max_retries = 3;
+  models::Classifier model = fresh_model();
+  NanLossOnce trainer(model, config);
+  const TrainResult result = trainer.fit(small_train_set(128));
+
+  EXPECT_EQ(trainer.rollback_count(), 1);
+  ASSERT_EQ(result.epochs.size(), 1u);
+  EXPECT_TRUE(std::isfinite(result.epochs[0].classifier_loss));
+}
+
 TEST(NanRollback, DisabledPolicyRethrows) {
   models::Classifier model = fresh_model();
   FlakyTrainer trainer(model, quick_config(1), 3);

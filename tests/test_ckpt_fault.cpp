@@ -1,7 +1,7 @@
-// Fault-injection harness (DESIGN.md §11): a subprocess is SIGKILLed in the
-// middle of writing a checkpoint, and the published files must still be
-// intact and resumable. The child binary path arrives via the
-// ZKG_CRASH_CHILD compile definition.
+// Fault-injection harness (DESIGN.md §11): the ckpt.fsync crash failpoint
+// SIGKILLs a subprocess in the middle of writing a checkpoint, and the
+// published files must still be intact and resumable. The child binary path
+// arrives via the ZKG_CRASH_CHILD compile definition.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -32,11 +32,12 @@ TEST(FaultInjection, Kill9MidCheckpointLeavesResumableState) {
   fs::remove_all(dir);
   fs::create_directories(dir);
 
-  // keep_last defaults to 3, so after writes 1..3 publish, the injected
-  // crash during write 4 (epoch 0, after batch 4) leaves checkpoints for
-  // batches 1..3 plus a half-written .tmp.
-  const std::string command = "ZKG_CKPT_TEST_CRASH_WRITE=4 " ZKG_CRASH_CHILD
-                              " \"" + dir + "\" >/dev/null 2>&1";
+  // keep_last defaults to 3, so after writes 1..3 publish, the child arms
+  // ckpt.fsync with the crash policy and write 4 (epoch 0, after batch 4)
+  // dies before its fsync, leaving checkpoints for batches 1..3 plus an
+  // unsynced .tmp.
+  const std::string command = ZKG_CRASH_CHILD " \"" + dir +
+                              "\" 3 >/dev/null 2>&1";
   const int status = std::system(command.c_str());
   ASSERT_NE(status, -1);
   // Depending on the shell, the SIGKILL surfaces as a signal status or as
@@ -52,7 +53,7 @@ TEST(FaultInjection, Kill9MidCheckpointLeavesResumableState) {
   for (const auto& entry : fs::directory_iterator(dir)) {
     if (entry.path().extension() == ".tmp") found_tmp = true;
   }
-  EXPECT_TRUE(found_tmp) << "expected a half-written .tmp leftover";
+  EXPECT_TRUE(found_tmp) << "expected the crashed write's .tmp leftover";
 
   const std::vector<std::string> published = list_checkpoints(dir);
   ASSERT_FALSE(published.empty());

@@ -53,7 +53,7 @@ TEST(Evaluator, CleanAccuracyOnTrainedModel) {
   models::Classifier model = models::build_lenet(
       {1, 28, 28, 10}, models::Preset::kBench, model_rng);
   const Evaluator evaluator(16);  // force multiple batches
-  const double acc = evaluator.clean_accuracy(model, test);
+  const double acc = evaluator.evaluate(model, test, {}).clean_accuracy;
   EXPECT_GE(acc, 0.0);
   EXPECT_LE(acc, 1.0);
 }
@@ -65,8 +65,8 @@ TEST(Evaluator, BatchedAndUnbatchedAgree) {
   Rng model_rng(4);
   models::Classifier model = models::build_lenet(
       {1, 28, 28, 10}, models::Preset::kBench, model_rng);
-  const double small = Evaluator(7).clean_accuracy(model, test);
-  const double large = Evaluator(1000).clean_accuracy(model, test);
+  const double small = Evaluator(7).evaluate(model, test, {}).clean_accuracy;
+  const double large = Evaluator(1000).evaluate(model, test, {}).clean_accuracy;
   EXPECT_DOUBLE_EQ(small, large);
 }
 

@@ -358,7 +358,6 @@ class SweepTest : public ::testing::Test {
     unsetenv("ZKG_TRAIN");
     unsetenv("ZKG_TEST");
     unsetenv("ZKG_EPOCHS");
-    unsetenv("ZKG_CKPT_DIR");
   }
 };
 
@@ -497,47 +496,6 @@ TEST_F(SweepTest, SweepWritesAndResumesPerJobCheckpoints) {
     ASSERT_EQ(second[i].train.epochs.size(), first[i].train.epochs.size());
     EXPECT_EQ(second[i].train.final_loss(), first[i].train.final_loss());
     expect_params_identical(second[i].final_params, first[i].final_params);
-  }
-}
-
-// ZKG_CKPT_DIR overrides every trainer's checkpoint directory, so concurrent
-// cells would write and rotate the same snapshot files: run_sweep refuses it
-// only when more than one cell may run at a time.
-TEST_F(SweepTest, CheckpointDirOverrideRejectsConcurrentSweeps) {
-  const std::vector<eval::SweepCell> cells = one_epoch_cells(
-      {defense::DefenseId::kVanilla, defense::DefenseId::kCls,
-       defense::DefenseId::kClp});
-  eval::SweepOptions options;
-  options.evaluate = eval::AttackSuite::kNone;
-  // Without the override, concurrent cells are fine.
-  options.jobs = 3;
-  for (const eval::SweepRun& run : eval::run_sweep(cells, options)) {
-    EXPECT_TRUE(run.ok) << run.name << ": " << run.error;
-  }
-
-  TempDir dir("sweep_env_ckpt");
-  setenv("ZKG_CKPT_DIR", dir.path().c_str(), 1);
-  for (const unsigned jobs : {0u, 2u, 3u}) {
-    options.jobs = jobs;
-    try {
-      eval::run_sweep(cells, options);
-      ADD_FAILURE() << "jobs=" << jobs << ": expected a ConfigError";
-    } catch (const ConfigError& error) {
-      const std::string what = error.what();
-      EXPECT_NE(what.find("run_sweep"), std::string::npos) << what;
-      EXPECT_NE(what.find("ZKG_CKPT_DIR"), std::string::npos) << what;
-    }
-  }
-  // One job at a time, or a single cell, keeps the override usable.
-  options.jobs = 1;
-  for (const eval::SweepRun& run : eval::run_sweep(cells, options)) {
-    EXPECT_TRUE(run.ok) << run.name << ": " << run.error;
-  }
-  for (const unsigned jobs : {2u, 3u}) {
-    options.jobs = jobs;
-    for (const eval::SweepRun& run : eval::run_sweep({cells[0]}, options)) {
-      EXPECT_TRUE(run.ok) << run.name << ": " << run.error;
-    }
   }
 }
 

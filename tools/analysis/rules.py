@@ -20,6 +20,10 @@ the concurrency rules that arrived with the LockRank layer:
   attack-zero-grad     no zero_grad token under src/attacks/ — attacks
                        leave a model's parameter gradients alone and run
                        their backward passes under nn::InputGradOnly
+  env-in-library       no env_or/env_or_int/getenv/secure_getenv call in
+                       src/ outside ENV_READERS — library behaviour is set
+                       by its config structs, and the few process-wide
+                       knobs are read in one named place each
 """
 
 from __future__ import annotations
@@ -29,6 +33,21 @@ from pathlib import Path
 
 from .cpptok import Tok
 from .engine import Reporter, SourceFile, load_file
+
+# Files allowed to read the environment: the env helpers themselves and the
+# process-wide knobs (ZKG_THREADS, ZKG_BACKEND, ZKG_TRACE, ZKG_FAILPOINTS,
+# and the experiment scale ZKG_PRESET/ZKG_TRAIN/ZKG_TEST/ZKG_EPOCHS).
+ENV_READERS = {
+    "src/common/env.hpp",
+    "src/common/env.cpp",
+    "src/common/threadpool.cpp",
+    "src/tensor/backend/dispatch.cpp",
+    "src/obs/telemetry.cpp",
+    "src/common/failpoint.cpp",
+    "src/eval/experiments.cpp",
+}
+
+ENV_CALLS = {"env_or", "env_or_int", "getenv", "secure_getenv"}
 
 # Files allowed to use raw threading primitives: the one parallel layer.
 PARALLEL_LAYER = {
@@ -111,6 +130,7 @@ def _lint_tokens(source: SourceFile, reporter: Reporter) -> None:
     in_simd_layer = rel.startswith(SIMD_LAYER_PREFIX)
     in_lockrank_layer = rel == LOCKRANK_LAYER
     in_attacks = rel.startswith(ATTACKS_PREFIX)
+    reads_env = rel.startswith("src/") and rel not in ENV_READERS
 
     for i, tok in enumerate(code):
         prev = code[i - 1] if i > 0 else None
@@ -225,6 +245,17 @@ def _lint_tokens(source: SourceFile, reporter: Reporter) -> None:
                 source, "attack-zero-grad", tok.line,
                 "zero_grad under src/attacks/; attacks must leave parameter "
                 "gradients alone (run the backward under nn::InputGradOnly)")
+
+        # Environment reads outside the named knob readers: a setting that
+        # only an environment variable can change bypasses the config
+        # structs and their validate().
+        if (reads_env and tok.kind == "id" and tok.text in ENV_CALLS
+                and nxt is not None and nxt.text == "("
+                and (prev is None or prev.text not in (".", "->"))):
+            reporter.report(
+                source, "env-in-library", tok.line,
+                f"{tok.text}() outside the named environment readers; take "
+                "the setting from a config struct instead")
 
         # Detached threads: a fire-and-forget thread outlives every
         # invariant the destructor order was designed to protect.

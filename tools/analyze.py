@@ -248,6 +248,18 @@ void save(const char* path) {
   std::ofstream out(path, std::ios::binary);
 }
 """, {}),
+    # env-in-library: an environment read in a data-layer file fires; the
+    # same kind of read in a named knob reader stays silent.
+    ("src/data/env_knob.cpp", """\
+#include "common/env.hpp"
+int cadence() {
+  return static_cast<int>(env_or_int("ZKG_CADENCE", 0));
+}
+""", {"env-in-library": 3}),
+    ("src/eval/experiments.cpp", """\
+#include "common/env.hpp"
+bool paper() { return env_or("ZKG_PRESET", "bench") == "paper"; }
+""", {}),
 ]
 
 # Rules that must NOT fire anywhere in the mini tree.
@@ -261,6 +273,7 @@ FORBIDDEN: dict[str, set[str]] = {
     "src/attacks/mentions.cpp": {"attack-zero-grad"},
     "src/data/trainer_step.cpp": {"attack-zero-grad"},
     "src/ckpt/raw_writer.cpp": {"atomic-write"},
+    "src/eval/experiments.cpp": {"env-in-library"},
 }
 
 
